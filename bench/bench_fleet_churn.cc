@@ -16,12 +16,8 @@
 int main(int argc, char** argv) {
   using namespace siloz;
 
-  FleetConfig base;
+  FleetConfig base;  // the default trace: ~4000 arrivals, ~2500 concurrent
   base.threads = bench::ThreadsFromArgs(argc, argv);
-  base.duration_s = 200.0;
-  base.arrivals_per_s = 20.0;  // ~4000 arrivals, ~2500 concurrent at steady state
-  base.min_lifetime_s = 60.0;
-  base.max_lifetime_s = 240.0;
 
   bench::PrintHeader("Fleet churn: admission policies and defrag recovery (§7)",
                      base.geometry);

@@ -80,19 +80,20 @@ void FlatPhysMemory::CopyPhys(uint64_t dst, uint64_t src, uint64_t bytes) {
     PhysMemory::CopyPhys(dst, src, bytes);
     return;
   }
-  for (uint64_t offset = 0; offset < bytes; offset += kPage4K) {
-    const uint64_t src_frame = (src + offset) / kPage4K;
-    const uint64_t dst_frame = (dst + offset) / kPage4K;
-    auto it = frames_.find(src_frame);
-    if (it == frames_.end()) {
-      // Zero source: the destination must read back zero, but a frame that
-      // was never touched already does — drop any stale destination frame
-      // instead of materializing 4 KiB of zeros.
-      frames_.erase(dst_frame);
-    } else {
-      std::vector<uint8_t> copy = it->second;  // operator[] below may rehash
-      frames_[dst_frame] = std::move(copy);
-    }
+  SILOZ_CHECK(dst + bytes <= src || src + bytes <= dst) << "CopyPhys spans overlap";
+  const uint64_t src_first = src / kPage4K;
+  const uint64_t dst_first = dst / kPage4K;
+  const uint64_t frames = bytes / kPage4K;
+  // Every destination frame goes: one the source leaves zero must read back
+  // zero, which an absent frame already does, and the rest are replaced.
+  const auto dst_end = frames_.lower_bound(dst_first + frames);
+  frames_.erase(frames_.lower_bound(dst_first), dst_end);
+  // Source frames arrive in ascending order and all land just before
+  // dst_end, so each insert is amortized O(1); std::map inserts leave `it`
+  // valid.
+  for (auto it = frames_.lower_bound(src_first);
+       it != frames_.end() && it->first < src_first + frames; ++it) {
+    frames_.emplace_hint(dst_end, dst_first + (it->first - src_first), it->second);
   }
 }
 

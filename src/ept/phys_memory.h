@@ -10,8 +10,8 @@
 #define SILOZ_SRC_EPT_PHYS_MEMORY_H_
 
 #include <cstdint>
+#include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace siloz {
@@ -25,9 +25,9 @@ class PhysMemory {
 
   // Copies `bytes` from `src` to `dst` (ranges must not overlap). The base
   // implementation streams 4 KiB chunks through ReadPhys/WritePhys, which is
-  // correct for any backing; sparse stores override it so copying a region
-  // whose frames were never touched stays O(frames actually materialized) —
-  // the property VM migration relies on to move multi-GiB backings cheaply.
+  // correct for any backing but costs O(bytes); sparse stores override it so
+  // the cost follows the frames actually materialized — the property VM
+  // migration relies on to move multi-GiB backings cheaply.
   virtual void CopyPhys(uint64_t dst, uint64_t src, uint64_t bytes);
 
   uint64_t ReadU64(uint64_t phys);
@@ -39,9 +39,10 @@ class FlatPhysMemory final : public PhysMemory {
  public:
   void ReadPhys(uint64_t phys, std::span<uint8_t> out) override;
   void WritePhys(uint64_t phys, std::span<const uint8_t> data) override;
-  // Frame-aligned spans copy (or drop, for zero source frames) whole frames
-  // without materializing untouched memory; ragged edges fall back to the
-  // streaming base implementation.
+  // A frame-aligned span costs O(log frames + frames materialized in the
+  // source and destination spans), whatever its length: stale destination
+  // frames are dropped, source frames copied, and untouched memory is never
+  // materialized. A ragged span falls back to the streaming base copy.
   void CopyPhys(uint64_t dst, uint64_t src, uint64_t bytes) override;
 
   // Test helper: flip one bit directly (simulates a Rowhammer hit on a
@@ -52,7 +53,9 @@ class FlatPhysMemory final : public PhysMemory {
 
  private:
   std::vector<uint8_t>& Frame(uint64_t frame_index);
-  std::unordered_map<uint64_t, std::vector<uint8_t>> frames_;
+  // Frame index -> its 4 KiB; ordered so CopyPhys can visit just the
+  // materialized frames of a span.
+  std::map<uint64_t, std::vector<uint8_t>> frames_;
 };
 
 }  // namespace siloz

@@ -8,9 +8,11 @@
 #define SILOZ_SRC_HOSTMEM_CGROUP_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
@@ -30,9 +32,10 @@ class ControlGroup {
 
   bool MayAllocateFrom(uint32_t node_id) const { return mems_allowed_.count(node_id) != 0; }
 
-  void SetMemsAllowed(std::set<uint32_t> nodes) { mems_allowed_ = std::move(nodes); }
-
  private:
+  // Only the registry rewrites mems, so its node index never goes stale.
+  friend class CgroupRegistry;
+
   std::string name_;
   std::set<uint32_t> mems_allowed_;
   bool kvm_privileged_;
@@ -40,11 +43,14 @@ class ControlGroup {
 
 // Registry of control groups. Creation requires naming distinct groups; a
 // node may be exclusively owned by at most one group (the "exclusive access
-// to available guest-reserved nodes" of §5.3).
+// to available guest-reserved nodes" of §5.3). Groups are indexed by name and
+// by node, so Create, Get, Destroy and SetMemsAllowed cost O(log groups +
+// nodes they name), however many groups exist.
 class CgroupRegistry {
  public:
-  // Creates a group; fails if the name exists or any requested node is
-  // already exclusively held by another group.
+  // Creates a group; fails with kAlreadyExists if the name exists, else with
+  // kPermissionDenied (naming the owner) if any requested node is already
+  // exclusively held by another group.
   Result<ControlGroup*> Create(const std::string& name, std::set<uint32_t> mems_allowed,
                                bool kvm_privileged);
 
@@ -54,10 +60,26 @@ class CgroupRegistry {
   // outlive VM shutdown until a privileged user destroys the group).
   Status Destroy(const std::string& name);
 
+  // Replaces a group's cpuset.mems. Fails, changing nothing, with
+  // kPermissionDenied if another group holds one of `nodes`.
+  Status SetMemsAllowed(const std::string& name, std::set<uint32_t> nodes);
+
+  // The group whose mems hold `node`, or nullptr.
+  const ControlGroup* OwnerOf(uint32_t node) const;
+
+  // Every group, in name order.
+  std::vector<const ControlGroup*> Groups() const;
+
   size_t size() const { return groups_.size(); }
 
  private:
-  std::vector<std::unique_ptr<ControlGroup>> groups_;
+  // kPermissionDenied naming the lowest of `nodes` held by a group other
+  // than `self`, and that group; Ok if there is none.
+  Status CheckUnowned(const std::set<uint32_t>& nodes, const ControlGroup* self) const;
+
+  std::map<std::string, std::unique_ptr<ControlGroup>> groups_;
+  // node id -> the group whose mems hold it; exactly the union of all mems.
+  std::unordered_map<uint32_t, ControlGroup*> owner_of_node_;
 };
 
 }  // namespace siloz

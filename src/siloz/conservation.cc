@@ -16,9 +16,9 @@ ConservationSnapshot CaptureConservation(const SilozHypervisor& hv) {
   }
   for (uint32_t socket = 0; socket < hv.decoder().geometry().sockets; ++socket) {
     snap.ept_pool_free.push_back(hv.ept_pool_free(socket));
+    snap.free_guest_nodes.push_back(hv.FreeGuestNodeCount(socket));
   }
   snap.cgroups = hv.cgroups().size();
-  snap.owned_nodes = hv.owned_node_count();
   snap.backing_entries = hv.backing_map_entries();
   snap.ept_page_entries = hv.ept_page_map_entries();
   snap.ept_pages_held = hv.ept_pages_held();
@@ -57,12 +57,14 @@ std::string DiffConservation(const ConservationSnapshot& before,
     field("socket count", before.ept_pool_free.size(), after.ept_pool_free.size());
   } else {
     for (size_t socket = 0; socket < before.ept_pool_free.size(); ++socket) {
-      field(("socket " + std::to_string(socket) + " ept_pool_free").c_str(),
-            before.ept_pool_free[socket], after.ept_pool_free[socket]);
+      const std::string tag = "socket " + std::to_string(socket) + " ";
+      field((tag + "ept_pool_free").c_str(), before.ept_pool_free[socket],
+            after.ept_pool_free[socket]);
+      field((tag + "free_guest_nodes").c_str(), before.free_guest_nodes[socket],
+            after.free_guest_nodes[socket]);
     }
   }
   field("cgroups", before.cgroups, after.cgroups);
-  field("owned_nodes", before.owned_nodes, after.owned_nodes);
   field("backing_entries", before.backing_entries, after.backing_entries);
   field("ept_page_entries", before.ept_page_entries, after.ept_page_entries);
   field("ept_pages_held", before.ept_pages_held, after.ept_pages_held);
@@ -70,6 +72,60 @@ std::string DiffConservation(const ConservationSnapshot& before,
   field("gauge hv.ept.pages_in_use", before.gauge_pages_in_use, after.gauge_pages_in_use);
   return diff.str();
 }
+
+std::string DiffOwnershipIndexes(const SilozHypervisor& hv) {
+  std::ostringstream diff;
+  const std::vector<const ControlGroup*> groups = hv.cgroups().Groups();
+  std::vector<std::vector<uint32_t>> unowned(hv.decoder().geometry().sockets);
+  for (const NumaNode* node : hv.nodes().AllNodes()) {  // ascending id order
+    if (node->kind() != NodeKind::kGuestReserved) {
+      continue;
+    }
+    const ControlGroup* owner = nullptr;
+    for (const ControlGroup* group : groups) {
+      if (!group->MayAllocateFrom(node->id())) {
+        continue;
+      }
+      if (owner != nullptr) {
+        diff << "node " << node->id() << " in the mems of both '" << owner->name() << "' and '"
+             << group->name() << "'; ";
+      }
+      owner = group;
+    }
+    const ControlGroup* indexed = hv.cgroups().OwnerOf(node->id());
+    if (indexed != owner) {
+      diff << "node " << node->id() << " indexed to '" << (indexed ? indexed->name() : "")
+           << "' but held by '" << (owner ? owner->name() : "") << "'; ";
+    }
+    if (owner == nullptr) {
+      unowned[node->physical_socket()].push_back(node->id());
+    }
+  }
+  for (uint32_t socket = 0; socket < unowned.size(); ++socket) {
+    if (hv.AvailableGuestNodes(socket) != unowned[socket]) {
+      diff << "socket " << socket << " free set differs from its " << unowned[socket].size()
+           << " unowned guest node(s); ";
+    }
+    if (hv.FreeGuestNodeCount(socket) != unowned[socket].size()) {
+      diff << "socket " << socket << " FreeGuestNodeCount " << hv.FreeGuestNodeCount(socket)
+           << " != " << unowned[socket].size() << "; ";
+    }
+  }
+  return diff.str();
+}
+
+namespace {
+
+Status CheckOwnership(const SilozHypervisor& hv, const std::string& when) {
+  const std::string diff = DiffOwnershipIndexes(hv);
+  if (diff.empty()) {
+    return Status::Ok();
+  }
+  return MakeError(ErrorCode::kIntegrityViolation,
+                   "ownership indexes drifted " + when + ": " + diff);
+}
+
+}  // namespace
 
 Result<FaultSweepReport> RunCreateVmFaultSweep(SilozHypervisor& hv, const VmConfig& vm_config,
                                                uint64_t max_points) {
@@ -83,12 +139,15 @@ Result<FaultSweepReport> RunCreateVmFaultSweep(SilozHypervisor& hv, const VmConf
     injector.Disarm();
     ++report.points_probed;
     report.faults_injected += fired;
+    const std::string at = "at k=" + std::to_string(k);
+    SILOZ_RETURN_IF_ERROR(CheckOwnership(hv, "after CreateVm " + at));
     if (created.ok()) {
       if (fired > 0) {
         ++report.creates_survived;
       }
       SILOZ_RETURN_IF_ERROR(hv.DestroyVm(*created));
       SILOZ_RETURN_IF_ERROR(hv.ReleaseVmNodes(*created));
+      SILOZ_RETURN_IF_ERROR(CheckOwnership(hv, "after ReleaseVmNodes " + at));
       const std::string diff = DiffConservation(before, CaptureConservation(hv));
       if (!diff.empty()) {
         return MakeError(ErrorCode::kIntegrityViolation,
@@ -126,6 +185,8 @@ Result<FaultSweepReport> RunMigrateVmFaultSweep(SilozHypervisor& hv, const VmCon
     const ConservationSnapshot empty = CaptureConservation(hv);
     Result<VmId> created = hv.CreateVm(vm_config);
     SILOZ_RETURN_IF_ERROR(created);  // the create itself runs unfaulted
+    const std::string at = "at k=" + std::to_string(k);
+    SILOZ_RETURN_IF_ERROR(CheckOwnership(hv, "after CreateVm " + at));
     const ConservationSnapshot placed = CaptureConservation(hv);
     injector.Arm(k, "alloc.");
     const Status migrated = hv.MigrateVm(*created, target_socket);
@@ -133,6 +194,7 @@ Result<FaultSweepReport> RunMigrateVmFaultSweep(SilozHypervisor& hv, const VmCon
     injector.Disarm();
     ++report.points_probed;
     report.faults_injected += fired;
+    SILOZ_RETURN_IF_ERROR(CheckOwnership(hv, "after MigrateVm " + at));
     bool past_last_point = false;
     if (migrated.ok()) {
       if (fired > 0) {
@@ -160,6 +222,7 @@ Result<FaultSweepReport> RunMigrateVmFaultSweep(SilozHypervisor& hv, const VmCon
     }
     SILOZ_RETURN_IF_ERROR(hv.DestroyVm(*created));
     SILOZ_RETURN_IF_ERROR(hv.ReleaseVmNodes(*created));
+    SILOZ_RETURN_IF_ERROR(CheckOwnership(hv, "after ReleaseVmNodes " + at));
     const std::string diff = DiffConservation(empty, CaptureConservation(hv));
     if (!diff.empty()) {
       return MakeError(ErrorCode::kIntegrityViolation,

@@ -7,6 +7,8 @@
 // accounting, cgroup/node reservations, EPT pool levels, lifecycle map
 // entries, and the hv.ept.* gauges — and drives CreateVm once per reachable
 // allocation fault point to prove the contracts hold on every error path.
+// After every step the sweeps also rebuild node ownership by brute force
+// and hold the hypervisor's ownership indexes to it.
 #ifndef SILOZ_SRC_SILOZ_CONSERVATION_H_
 #define SILOZ_SRC_SILOZ_CONSERVATION_H_
 
@@ -30,8 +32,8 @@ struct NodeUsage {
 struct ConservationSnapshot {
   std::vector<NodeUsage> nodes;         // indexed by node id
   std::vector<uint64_t> ept_pool_free;  // per socket
+  std::vector<size_t> free_guest_nodes;  // per socket
   size_t cgroups = 0;
-  size_t owned_nodes = 0;
   size_t backing_entries = 0;
   size_t ept_page_entries = 0;
   uint64_t ept_pages_held = 0;
@@ -46,6 +48,14 @@ ConservationSnapshot CaptureConservation(const SilozHypervisor& hv);
 // human-readable description of every discrepancy.
 std::string DiffConservation(const ConservationSnapshot& before,
                              const ConservationSnapshot& after);
+
+// Rebuilds guest-node ownership by brute force — every guest node against
+// every cgroup's mems — and compares it with the indexes the hypervisor
+// keeps instead: the cgroup registry's node index (OwnerOf) and the
+// per-socket free sets (AvailableGuestNodes, in registry order, and
+// FreeGuestNodeCount). Empty string iff they all agree; otherwise every
+// discrepancy. O(guest nodes x cgroups): for checks, never a hot path.
+std::string DiffOwnershipIndexes(const SilozHypervisor& hv);
 
 struct FaultSweepReport {
   uint64_t points_probed = 0;     // distinct k values exercised

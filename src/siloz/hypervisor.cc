@@ -63,6 +63,7 @@ Status SilozHypervisor::Boot() {
   }
   const DramGeometry& geometry = decoder_.geometry();
   host_node_by_socket_.assign(geometry.sockets, 0);
+  free_guest_nodes_.assign(geometry.sockets, {});
   ept_pool_.assign(geometry.sockets, {});
   ept_pool_ranges_.assign(geometry.sockets, {});
 
@@ -146,6 +147,7 @@ Status SilozHypervisor::Boot() {
                                          group_map_->RangesOf(first_group + g),
                                          /*has_cpus=*/false);
         node_of_group_[first_group + g] = guest.id();
+        free_guest_nodes_.at(socket).insert(guest.id());
       }
     }
   }
@@ -435,17 +437,53 @@ Result<std::vector<PhysRange>> SilozHypervisor::AllocateRuns(NumaNode& node, uin
 
 std::vector<uint32_t> SilozHypervisor::AvailableGuestNodes(uint32_t socket) const {
   MutexLock lock(mu_);
-  return AvailableGuestNodesLocked(socket);
+  const std::set<uint32_t>& free = free_guest_nodes_.at(socket);
+  return std::vector<uint32_t>(free.begin(), free.end());
 }
 
-std::vector<uint32_t> SilozHypervisor::AvailableGuestNodesLocked(uint32_t socket) const {
-  std::vector<uint32_t> available;
-  for (const auto& node : const_cast<NodeRegistry&>(nodes_).NodesOnSocket(socket)) {
-    if (node->kind() == NodeKind::kGuestReserved && node_owner_.count(node->id()) == 0) {
-      available.push_back(node->id());
+// siloz-lint: allow(fault-point-coverage): a read-only count, not a release.
+size_t SilozHypervisor::FreeGuestNodeCount(uint32_t socket) const {
+  MutexLock lock(mu_);
+  return free_guest_nodes_.at(socket).size();
+}
+
+Result<std::vector<uint32_t>> SilozHypervisor::SelectGuestNodesLocked(uint32_t socket,
+                                                                      uint64_t bytes,
+                                                                      uint64_t backing_bytes,
+                                                                      const char* where) {
+  std::vector<uint32_t> selected;
+  uint64_t capacity = 0;
+  for (uint32_t node_id : free_guest_nodes_.at(socket)) {
+    if (capacity >= bytes) {
+      break;
     }
+    NumaNode& node = *nodes_.Get(node_id).value();
+    selected.push_back(node_id);
+    capacity += AlignDown(node.allocator().free_bytes(), backing_bytes);
   }
-  return available;
+  if (capacity < bytes) {
+    return MakeError(ErrorCode::kNoMemory, std::string(where) + " " + std::to_string(socket) +
+                                               " has only " + std::to_string(capacity) +
+                                               " free guest-node bytes of " +
+                                               std::to_string(bytes) + " needed");
+  }
+  return selected;
+}
+
+void SilozHypervisor::MarkGuestNodesOwnedLocked(uint32_t socket,
+                                                const std::vector<uint32_t>& nodes) {
+  std::set<uint32_t>& free = free_guest_nodes_.at(socket);
+  for (uint32_t node : nodes) {
+    SILOZ_CHECK_EQ(free.erase(node), 1u) << "node " << node << " is not free";
+  }
+}
+
+void SilozHypervisor::MarkGuestNodesFreeLocked(uint32_t socket,
+                                               const std::vector<uint32_t>& nodes) {
+  std::set<uint32_t>& free = free_guest_nodes_.at(socket);
+  for (uint32_t node : nodes) {
+    SILOZ_CHECK(free.insert(node).second) << "node " << node << " is already free";
+  }
 }
 
 Result<uint32_t> SilozHypervisor::HostNode(uint32_t socket) const {
@@ -586,37 +624,24 @@ Result<VmId> SilozHypervisor::CreateVmLocked(const VmConfig& vm_config) {
     // Whole subarray groups, same socket (§5.2-§5.3). Select enough free
     // guest nodes by their actual free capacity (guard offlining can shave a
     // few rows off a group).
-    const std::vector<uint32_t> available = AvailableGuestNodesLocked(vm_config.socket);
-    std::vector<uint32_t> selected;
-    uint64_t capacity = 0;
-    for (uint32_t node_id : available) {
-      if (capacity >= unmediated_bytes) {
-        break;
-      }
-      NumaNode& node = *nodes_.Get(node_id).value();
-      selected.push_back(node_id);
-      capacity += AlignDown(node.allocator().free_bytes(), backing_bytes);
-    }
-    if (capacity < unmediated_bytes) {
-      return MakeError(ErrorCode::kNoMemory,
-                       "socket " + std::to_string(vm_config.socket) + " has only " +
-                           std::to_string(capacity) + " free guest-node bytes of " +
-                           std::to_string(unmediated_bytes) + " needed");
-    }
-    std::set<uint32_t> mems(selected.begin(), selected.end());
-    Result<ControlGroup*> cgroup = cgroups_.Create(cgroup_name, mems, /*kvm_privileged=*/true);
+    Result<std::vector<uint32_t>> selected = SelectGuestNodesLocked(
+        vm_config.socket, unmediated_bytes, backing_bytes, "socket");
+    SILOZ_RETURN_IF_ERROR(selected);
+    Result<ControlGroup*> cgroup = cgroups_.Create(
+        cgroup_name, std::set<uint32_t>(selected->begin(), selected->end()),
+        /*kvm_privileged=*/true);
     SILOZ_RETURN_IF_ERROR(cgroup);
     txn.OnRollback([this, cgroup_name] {
       SILOZ_CHECK(cgroups_.Destroy(cgroup_name).ok())
           << "rollback failed to destroy cgroup " << cgroup_name;
     });
+    MarkGuestNodesOwnedLocked(vm_config.socket, *selected);
+    txn.OnRollback([this, socket = vm_config.socket, nodes = *selected] {
+      mu_.AssertHeld();  // txn unwinds inside CreateVmLocked
+      MarkGuestNodesFreeLocked(socket, nodes);
+    });
     uint64_t remaining = unmediated_bytes;
-    for (uint32_t node_id : selected) {
-      node_owner_[node_id] = cgroup_name;
-      txn.OnRollback([this, node_id] {
-        mu_.AssertHeld();
-        node_owner_.erase(node_id);
-      });
+    for (uint32_t node_id : *selected) {
       NumaNode& node = *nodes_.Get(node_id).value();
       vm->AddGuestNode(node_id, node.first_group());
       const uint64_t chunk =
@@ -774,13 +799,14 @@ Status SilozHypervisor::ReleaseVmNodesLocked(VmId id) {
   }
   auto it = vms_.find(id);
   SILOZ_CHECK(it != vms_.end());
-  const std::string cgroup_name = it->second->cgroup_name();
-  for (uint32_t node : it->second->guest_nodes()) {
-    node_owner_.erase(node);
+  const Vm& vm = *it->second;
+  // The cgroup goes first: if its destruction fails the nodes stay owned,
+  // so the free sets and the cgroup index never disagree, and a retry
+  // resumes here.
+  if (vm.cgroup_name() != "host") {
+    SILOZ_RETURN_IF_ERROR(cgroups_.Destroy(vm.cgroup_name()));
   }
-  if (cgroup_name != "host") {
-    SILOZ_RETURN_IF_ERROR(cgroups_.Destroy(cgroup_name));
-  }
+  MarkGuestNodesFreeLocked(vm.config().socket, vm.guest_nodes());
   vms_.erase(it);
   destroyed_vms_.erase(id);
   return Status::Ok();
@@ -866,30 +892,17 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
     }
   };
 
-  const std::vector<uint32_t> available = AvailableGuestNodesLocked(target_socket);
-  std::vector<uint32_t> selected;
-  uint64_t capacity = 0;
-  for (uint32_t node_id : available) {
-    if (capacity >= unmediated_bytes) {
-      break;
-    }
-    NumaNode& node = *nodes_.Get(node_id).value();
-    selected.push_back(node_id);
-    capacity += AlignDown(node.allocator().free_bytes(), backing_bytes);
-  }
-  if (capacity < unmediated_bytes) {
-    return MakeError(ErrorCode::kNoMemory,
-                     "target socket " + std::to_string(target_socket) + " has only " +
-                         std::to_string(capacity) + " free guest-node bytes of " +
-                         std::to_string(unmediated_bytes) + " needed");
-  }
+  Result<std::vector<uint32_t>> selected = SelectGuestNodesLocked(
+      target_socket, unmediated_bytes, backing_bytes, "target socket");
+  SILOZ_RETURN_IF_ERROR(selected);
+  // Out of the free set for the staging; the cgroup takes them at commit.
+  MarkGuestNodesOwnedLocked(target_socket, *selected);
+  txn.OnRollback([this, target_socket, nodes = *selected] {
+    mu_.AssertHeld();  // txn unwinds inside MigrateVmLocked
+    MarkGuestNodesFreeLocked(target_socket, nodes);
+  });
   uint64_t remaining = unmediated_bytes;
-  for (uint32_t node_id : selected) {
-    node_owner_[node_id] = cgroup_name;
-    txn.OnRollback([this, node_id] {
-      mu_.AssertHeld();
-      node_owner_.erase(node_id);
-    });
+  for (uint32_t node_id : *selected) {
     NumaNode& node = *nodes_.Get(node_id).value();
     new_nodes.emplace_back(node_id, node.first_group());
     const uint64_t chunk =
@@ -996,22 +1009,19 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
         << "migration failed to return source EPT page";
     old_ept_pages.pop_back();
   }
-  for (uint32_t node : vm.guest_nodes()) {
-    node_owner_.erase(node);
-  }
+  MarkGuestNodesFreeLocked(source_socket, vm.guest_nodes());
   vm.ResetPlacement(target_socket);
-  std::set<uint32_t> mems;
   for (const auto& [node_id, first_group] : new_nodes) {
     vm.AddGuestNode(node_id, first_group);
-    mems.insert(node_id);
   }
   for (const VmRegion& region : new_regions) {
     vm.AddRegion(region);
   }
   vm.SetEpt(std::move(*new_ept));
-  Result<ControlGroup*> cgroup = cgroups_.Get(cgroup_name);
-  SILOZ_CHECK(cgroup.ok()) << "VM cgroup vanished mid-migration";
-  (*cgroup)->SetMemsAllowed(mems);
+  const Status retargeted = cgroups_.SetMemsAllowed(
+      cgroup_name, std::set<uint32_t>(selected->begin(), selected->end()));
+  SILOZ_CHECK(retargeted.ok()) << "migration failed to retarget cgroup " << cgroup_name << ": "
+                               << retargeted.error().ToString();
   ++obs_counts_.vms_migrated;
 
   // The committed placement must still prove isolation on the target groups

@@ -164,18 +164,16 @@ class SilozHypervisor {
   // Physical extents holding EPT pages (for hammering experiments).
   const std::vector<PhysRange>& ept_pool_ranges(uint32_t socket) const;
 
-  // Nodes not yet reserved by any VM cgroup, on the given socket.
+  // Guest nodes not yet reserved by any VM cgroup on the given socket, in
+  // ascending id order (the order CreateVm and MigrateVm place in).
   std::vector<uint32_t> AvailableGuestNodes(uint32_t socket) const;
+  // AvailableGuestNodes(socket).size(), without the copy.
+  size_t FreeGuestNodeCount(uint32_t socket) const;
   // The host-reserved node of a socket.
   Result<uint32_t> HostNode(uint32_t socket) const;
 
   // --- Conservation bookkeeping (tested by the fault-injection sweep) ---
 
-  // Guest nodes currently reserved by some VM cgroup.
-  size_t owned_node_count() const {
-    MutexLock lock(mu_);
-    return node_owner_.size();
-  }
   // Live entries in the per-VM backing / EPT-page maps. A failed CreateVm
   // must leave no phantom entry behind.
   size_t backing_map_entries() const {
@@ -205,7 +203,19 @@ class SilozHypervisor {
   Result<Vm*> GetVmLocked(VmId id) REQUIRES(mu_);
   Status RemovePassthroughDeviceLocked(uint32_t device_id) REQUIRES(mu_);
   Status FreePagesLocked(uint32_t node_id, uint64_t phys, uint32_t order) REQUIRES(mu_);
-  std::vector<uint32_t> AvailableGuestNodesLocked(uint32_t socket) const REQUIRES(mu_);
+
+  // The first free guest nodes of `socket`, in ascending id order, whose
+  // free capacity (in whole `backing_bytes` pages) covers `bytes`; kNoMemory
+  // (worded "<where> N has only ...") if all of them fall short. Costs
+  // O(nodes selected) on success.
+  Result<std::vector<uint32_t>> SelectGuestNodesLocked(uint32_t socket, uint64_t bytes,
+                                                       uint64_t backing_bytes,
+                                                       const char* where) REQUIRES(mu_);
+  // Move `nodes` (all on `socket`) out of / back into the free set.
+  void MarkGuestNodesOwnedLocked(uint32_t socket, const std::vector<uint32_t>& nodes)
+      REQUIRES(mu_);
+  void MarkGuestNodesFreeLocked(uint32_t socket, const std::vector<uint32_t>& nodes)
+      REQUIRES(mu_);
 
   // Contiguously allocate `bytes` from `node` in blocks of `order`,
   // returning the start address (node must have a contiguous free run).
@@ -279,8 +289,9 @@ class SilozHypervisor {
   NodeRegistry nodes_;
   CgroupRegistry cgroups_;
 
-  // node id -> owning VM cgroup name (empty when free).
-  std::map<uint32_t, std::string> node_owner_ GUARDED_BY(mu_);
+  // Per socket: the guest nodes no VM cgroup holds, in ascending id order.
+  // A guest node is in exactly one of this set and cgroups_'s node index.
+  std::vector<std::set<uint32_t>> free_guest_nodes_ GUARDED_BY(mu_);
   // Boot-time-only layout (stable after Boot(); read without the lock).
   std::vector<uint32_t> host_node_by_socket_;
   // global subarray group id -> node id (Siloz mode only).

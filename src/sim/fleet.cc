@@ -5,7 +5,6 @@
 #include <cmath>
 #include <deque>
 #include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -227,16 +226,12 @@ struct FleetRun {
 
 // Reserved-but-unallocated bytes inside VM-owned guest nodes: capacity the
 // operator cannot sell while the owning VM lives (§7 stranded memory).
-uint64_t StrandedBytes(const SilozHypervisor& hv, uint32_t socket_count) {
-  std::set<uint32_t> available;
-  for (uint32_t socket = 0; socket < socket_count; ++socket) {
-    for (uint32_t node : hv.AvailableGuestNodes(socket)) {
-      available.insert(node);
-    }
-  }
+// Runs behind the epoch barrier, so the registries are quiescent.
+uint64_t StrandedBytes(const SilozHypervisor& hv) {
   uint64_t stranded = 0;
   for (const NumaNode* node : hv.nodes().AllNodes()) {
-    if (node->kind() == NodeKind::kGuestReserved && available.count(node->id()) == 0) {
+    if (node->kind() == NodeKind::kGuestReserved &&
+        hv.cgroups().OwnerOf(node->id()) != nullptr) {
       stranded += node->allocator().free_bytes();
     }
   }
@@ -283,7 +278,7 @@ Status DefragPass(FleetRun& run, uint64_t now_ns, FleetReport& report) {
         if (t == s) {
           continue;
         }
-        const size_t free_nodes = run.hv.AvailableGuestNodes(t).size();
+        const size_t free_nodes = run.hv.FreeGuestNodeCount(t);
         if (free_nodes > target_free) {
           target_free = free_nodes;
           target = t;
@@ -550,7 +545,7 @@ Result<FleetReport> RunFleetChurn(const FleetConfig& config) {
       SILOZ_RETURN_IF_ERROR(DefragPass(run, horizon_ns, report));
     }
     report.peak_stranded_bytes =
-        std::max(report.peak_stranded_bytes, StrandedBytes(hv, geometry.sockets));
+        std::max(report.peak_stranded_bytes, StrandedBytes(hv));
   }
 
   // --- Fold the per-socket tallies and sweep the exact peak concurrency ---
@@ -577,8 +572,10 @@ Result<FleetReport> RunFleetChurn(const FleetConfig& config) {
         std::max<uint64_t>(report.peak_concurrency, static_cast<uint64_t>(concurrent));
   }
 
-  // --- Drain check: everything departed, so boot state must be restored ---
-  report.drain_diff = DiffConservation(booted, CaptureConservation(hv));
+  // --- Drain check: everything departed, so boot state must be restored
+  // and the ownership indexes must still agree with a brute-force rebuild ---
+  report.drain_diff =
+      DiffConservation(booted, CaptureConservation(hv)) + DiffOwnershipIndexes(hv);
   report.drained_clean = report.drain_diff.empty();
 
   // Model-domain registry export: pure totals, folded once, serially.

@@ -77,8 +77,10 @@ struct FleetConfig {
   uint32_t threads = 0;
 
   // --- Trace shape (simulated time) ---
+  // The defaults are the reference trace: about 4000 arrivals and 2500
+  // concurrent VMs, enough pressure that the defrag policy migrates.
   uint32_t streams = 16;        // synthesis streams; fixed, NOT thread-derived
-  double duration_s = 120.0;    // arrival window
+  double duration_s = 200.0;    // arrival window
   double arrivals_per_s = 20.0; // base Poisson rate, summed over streams
   double burst_amplitude = 0.6; // diurnal modulation depth, in [0, 1)
   double burst_period_s = 240.0;   // compressed diurnal cycle
@@ -86,8 +88,8 @@ struct FleetConfig {
   std::vector<uint64_t> size_classes_bytes = {
       1ull << 30, 2ull << 30, 4ull << 30, 8ull << 30, 16ull << 30};
   double lifetime_alpha = 1.5;     // bounded-Pareto tail index
-  double min_lifetime_s = 20.0;
-  double max_lifetime_s = 600.0;
+  double min_lifetime_s = 60.0;
+  double max_lifetime_s = 240.0;
 
   // --- Replay shape ---
   double epoch_s = 15.0;           // defrag + census cadence
@@ -125,7 +127,8 @@ struct FleetReport {
   uint64_t peak_stranded_bytes = 0;
   std::vector<FleetSocketStats> sockets;
   // Post-drain conservation: true iff the hypervisor state matched the
-  // post-boot snapshot exactly once every VM had departed.
+  // post-boot snapshot exactly once every VM had departed, and its node
+  // ownership indexes matched a brute-force rebuild (DiffOwnershipIndexes).
   bool drained_clean = false;
   std::string drain_diff;          // empty when clean
 

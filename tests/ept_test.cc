@@ -1,6 +1,11 @@
 // Tests for the EPT walker and secure-EPT integrity (src/ept).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "src/base/bitops.h"
+#include "src/base/rng.h"
 #include "src/base/units.h"
 #include "src/ept/ept.h"
 #include "src/ept/phys_memory.h"
@@ -50,6 +55,90 @@ TEST(PhysMemoryTest, U64Helpers) {
   FlatPhysMemory memory;
   memory.WriteU64(640, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(memory.ReadU64(640), 0xDEADBEEFCAFEF00Dull);
+}
+
+// The streaming reference: PhysMemory's own chunked CopyPhys over a flat
+// store.
+class StreamingMemory final : public PhysMemory {
+ public:
+  void ReadPhys(uint64_t phys, std::span<uint8_t> out) override { store.ReadPhys(phys, out); }
+  void WritePhys(uint64_t phys, std::span<const uint8_t> data) override {
+    store.WritePhys(phys, data);
+  }
+  FlatPhysMemory store;
+};
+
+std::vector<uint8_t> ReadBack(PhysMemory& memory, uint64_t phys, uint64_t bytes) {
+  std::vector<uint8_t> out(bytes);
+  memory.ReadPhys(phys, out);
+  return out;
+}
+
+// FlatPhysMemory's sparse CopyPhys against the streaming copy: random frames
+// materialized inside the source, stale ones inside the destination, and
+// more outside both spans (including the frames right at their edges) must
+// all read back identically afterwards.
+TEST(PhysMemoryTest, SparseCopyMatchesStreamingCopy) {
+  struct Span {
+    uint64_t dst, src, bytes;
+  };
+  const Span spans[] = {
+      {5 * kGiB, 1 * kGiB, 16 * kMiB},             // large, frame-aligned
+      {2 * kGiB + 8 * kPage4K, 2 * kGiB, 3 * kPage4K},  // small, adjacent
+      {1 * kGiB, 3 * kGiB + 100, 3 * kPage4K + 777},    // ragged
+  };
+  Rng rng(0xC0B1);
+  for (const Span& span : spans) {
+    FlatPhysMemory sparse;
+    StreamingMemory streaming;
+    std::set<uint64_t> probes;  // pages outside both spans worth re-reading
+    const auto stamp = [&](uint64_t base, uint64_t bytes) {
+      const uint64_t phys = base + rng.NextBelow(bytes - 8);
+      const uint64_t value = rng.NextU64() | 1;
+      sparse.WriteU64(phys, value);
+      streaming.WriteU64(phys, value);
+    };
+    for (int i = 0; i < 64; ++i) {
+      stamp(span.src, span.bytes);  // source frames
+      stamp(span.dst, span.bytes);  // stale destination frames
+    }
+    for (uint64_t edge : {span.src - kPage4K, span.src + span.bytes, span.dst - kPage4K,
+                          span.dst + span.bytes}) {
+      stamp(edge, kPage4K);
+      probes.insert(edge);
+    }
+    for (int i = 0; i < 16; ++i) {
+      const uint64_t page = AlignDown(8 * kGiB + rng.NextBelow(kGiB), kPage4K);
+      stamp(page, kPage4K);
+      probes.insert(page);
+    }
+
+    sparse.CopyPhys(span.dst, span.src, span.bytes);
+    streaming.CopyPhys(span.dst, span.src, span.bytes);
+
+    EXPECT_EQ(ReadBack(sparse, span.dst, span.bytes), ReadBack(streaming, span.dst, span.bytes))
+        << "destination of span at " << span.src;
+    EXPECT_EQ(ReadBack(sparse, span.src, span.bytes), ReadBack(streaming, span.src, span.bytes))
+        << "source of span at " << span.src;
+    for (uint64_t page : probes) {
+      EXPECT_EQ(ReadBack(sparse, page, kPage4K), ReadBack(streaming, page, kPage4K))
+          << "page " << page << " outside the span at " << span.src;
+    }
+  }
+}
+
+// Copying untouched memory, however large, materializes nothing, and
+// copying it over stale frames drops them.
+TEST(PhysMemoryTest, SparseCopyOfUntouchedSpanMaterializesNothing) {
+  FlatPhysMemory memory;
+  memory.WriteU64(0, 42);  // one frame outside both spans
+  memory.CopyPhys(/*dst=*/64 * kGiB, /*src=*/16 * kGiB, 32 * kGiB);
+  EXPECT_EQ(memory.frame_count(), 1u);
+  memory.WriteU64(64 * kGiB + 5 * kMiB, 7);  // stale destination frame
+  memory.CopyPhys(/*dst=*/64 * kGiB, /*src=*/16 * kGiB, 32 * kGiB);
+  EXPECT_EQ(memory.frame_count(), 1u);
+  EXPECT_EQ(memory.ReadU64(64 * kGiB + 5 * kMiB), 0u);
+  EXPECT_EQ(memory.ReadU64(0), 42u);
 }
 
 TEST(EptTest, TranslateUnmappedFails) {

@@ -200,6 +200,28 @@ TEST_F(LifecycleFaultTest, DestroyVmResumesAfterInterruptedFree) {
   EXPECT_EQ(DiffConservation(pristine, CaptureConservation(hypervisor)), "");
 }
 
+// A cgroup that refuses to go keeps its nodes reserved: the free sets never
+// run ahead of the cgroup index, and the retry releases them.
+TEST_F(LifecycleFaultTest, FailedReleaseKeepsNodesOwnedUntilRetry) {
+  auto hypervisor_owner = MakeBooted();
+  SilozHypervisor& hypervisor = *hypervisor_owner;
+  const ConservationSnapshot pristine = CaptureConservation(hypervisor);
+  Result<VmId> id = hypervisor.CreateVm({.name = "h", .memory_bytes = 3_GiB, .socket = 0});
+  ASSERT_TRUE(id.ok()) << id.error().ToString();
+  ASSERT_TRUE(hypervisor.DestroyVm(*id).ok());
+  const size_t free_while_reserved = hypervisor.FreeGuestNodeCount(0);
+  {
+    ScopedFault fault(/*k=*/1, "free.cgroup.destroy");
+    ASSERT_FALSE(hypervisor.ReleaseVmNodes(*id).ok());
+  }
+  EXPECT_EQ(hypervisor.FreeGuestNodeCount(0), free_while_reserved);
+  EXPECT_TRUE(hypervisor.cgroups().Get("vm-h").ok());
+  EXPECT_EQ(DiffOwnershipIndexes(hypervisor), "");
+  ASSERT_TRUE(hypervisor.ReleaseVmNodes(*id).ok());
+  EXPECT_EQ(DiffConservation(pristine, CaptureConservation(hypervisor)), "");
+  EXPECT_EQ(DiffOwnershipIndexes(hypervisor), "");
+}
+
 TEST_F(LifecycleFaultTest, DestroyVmIsIdempotent) {
   auto hypervisor_owner = MakeBooted();
   SilozHypervisor& hypervisor = *hypervisor_owner;
@@ -228,6 +250,8 @@ TEST_F(LifecycleFaultTest, FaultSweepSilozConfig) {
   EXPECT_GT(report->faults_injected, 0u);
   EXPECT_GT(report->creates_failed, 0u);
   EXPECT_EQ(report->points_probed, report->faults_injected + 1);
+  // Pinned: the ownership indexes add no fault point to the create path.
+  EXPECT_EQ(report->points_probed, 11u);
 }
 
 TEST_F(LifecycleFaultTest, FaultSweepBaselineConfig) {
@@ -241,6 +265,7 @@ TEST_F(LifecycleFaultTest, FaultSweepBaselineConfig) {
   ASSERT_TRUE(report.ok()) << report.error().ToString();
   EXPECT_GT(report->faults_injected, 0u);
   EXPECT_GT(report->creates_failed, 0u);
+  EXPECT_EQ(report->points_probed, 1552u);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Tests for the buddy allocator, NUMA nodes, and control groups (src/hostmem).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/base/units.h"
 #include "src/hostmem/buddy.h"
 #include "src/hostmem/cgroup.h"
@@ -281,6 +285,48 @@ TEST(CgroupTest, ExclusiveNodeReservation) {
   // Destroying vm-a frees its nodes for reuse.
   ASSERT_TRUE(registry.Destroy("vm-a").ok());
   EXPECT_TRUE(registry.Create("vm-b", {2, 3}, true).ok());
+}
+
+TEST(CgroupTest, ConflictNamesTheOwner) {
+  CgroupRegistry registry;
+  ASSERT_TRUE(registry.Create("vm-a", {1, 2}, true).ok());
+  ASSERT_TRUE(registry.Create("vm-b", {5}, true).ok());
+  const Result<ControlGroup*> clash = registry.Create("vm-c", {3, 5, 2}, true);
+  ASSERT_FALSE(clash.ok());
+  EXPECT_EQ(clash.error().code, ErrorCode::kPermissionDenied);
+  EXPECT_EQ(clash.error().message, "node 2 already reserved by cgroup 'vm-a'");
+  // A taken name is reported as such even when the nodes clash too.
+  EXPECT_EQ(registry.Create("vm-b", {1}, true).error().code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(registry.OwnerOf(3), nullptr);  // the failed create claimed nothing
+}
+
+TEST(CgroupTest, SetMemsAllowedKeepsTheNodeIndex) {
+  CgroupRegistry registry;
+  ASSERT_TRUE(registry.Create("vm-a", {1, 2}, true).ok());
+  ASSERT_TRUE(registry.Create("vm-b", {3}, true).ok());
+  ASSERT_TRUE(registry.SetMemsAllowed("vm-a", {2, 7}).ok());
+  EXPECT_EQ(registry.OwnerOf(1), nullptr);
+  EXPECT_EQ(registry.OwnerOf(2)->name(), "vm-a");
+  EXPECT_EQ(registry.OwnerOf(7)->name(), "vm-a");
+  EXPECT_TRUE((*registry.Get("vm-a"))->MayAllocateFrom(7));
+  // The released node is claimable again; a held one is not, and a denied
+  // retarget changes nothing.
+  EXPECT_TRUE(registry.Create("vm-c", {1}, true).ok());
+  const Status denied = registry.SetMemsAllowed("vm-a", {3, 8});
+  ASSERT_FALSE(denied.ok());
+  EXPECT_EQ(denied.error().code, ErrorCode::kPermissionDenied);
+  EXPECT_EQ(registry.OwnerOf(8), nullptr);
+  EXPECT_EQ((*registry.Get("vm-a"))->mems_allowed(), (std::set<uint32_t>{2, 7}));
+  EXPECT_EQ(registry.SetMemsAllowed("vm-z", {9}).error().code, ErrorCode::kNotFound);
+  // Destroy drops the group's index entries.
+  ASSERT_TRUE(registry.Destroy("vm-a").ok());
+  EXPECT_EQ(registry.OwnerOf(2), nullptr);
+  EXPECT_EQ(registry.OwnerOf(7), nullptr);
+  std::vector<std::string> names;
+  for (const ControlGroup* group : registry.Groups()) {
+    names.push_back(group->name());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"vm-b", "vm-c"}));
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 // VM lifecycle, allocation policy, EPT placement, isolation audit.
 #include <gtest/gtest.h>
 #include <memory>
+#include <vector>
 
 #include "src/addr/decoder.h"
+#include "src/addr/platform.h"
+#include "src/base/bitops.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
+#include "src/siloz/conservation.h"
 #include "src/siloz/hypervisor.h"
 
 namespace siloz {
@@ -367,6 +371,59 @@ TEST_F(HypervisorTest, StatSweepOptimization) {
   // Siloz manages 254 nodes but periodic sweeps touch only the 2 host nodes.
   EXPECT_EQ(hypervisor.nodes().StatSweepNodeCount(false), 254u);
   EXPECT_EQ(hypervisor.nodes().StatSweepNodeCount(true), 2u);
+}
+
+// The per-socket free sets hand out guest nodes in the order the node
+// registry lists them (ascending id within the socket), on every platform,
+// at boot and after churn has punched a hole in the middle: the sets
+// changed no placement.
+TEST(FreeGuestNodeOrderTest, MatchesRegistryOrderOnEveryPlatform) {
+  for (const auto& [name, info] : PlatformRegistry()) {
+    Result<std::unique_ptr<AddressDecoder>> decoder = info.make(info.geometry);
+    ASSERT_TRUE(decoder.ok()) << name;
+    FlatPhysMemory memory;
+    SilozConfig config;
+    config.rows_per_subarray = info.geometry.rows_per_subarray;
+    config.uniform_internal_addressing = info.uniform_internal_addressing;
+    SilozHypervisor hv(**decoder, memory, config);
+    ASSERT_TRUE(hv.Boot().ok()) << name;
+    const auto registry_order = [&hv](uint32_t socket) {
+      std::vector<uint32_t> free;
+      for (const NumaNode* node : hv.nodes().NodesOnSocket(socket)) {
+        if (node->kind() == NodeKind::kGuestReserved &&
+            hv.cgroups().OwnerOf(node->id()) == nullptr) {
+          free.push_back(node->id());
+        }
+      }
+      return free;
+    };
+    const auto expect_registry_order = [&](const char* when) {
+      for (uint32_t socket = 0; socket < info.geometry.sockets; ++socket) {
+        EXPECT_EQ(hv.AvailableGuestNodes(socket), registry_order(socket))
+            << name << " socket " << socket << " " << when;
+      }
+      EXPECT_EQ(DiffOwnershipIndexes(hv), "") << name << " " << when;
+    };
+    expect_registry_order("at boot");
+
+    const uint64_t vm_bytes = AlignDown(hv.group_map().group_bytes() * 3 / 2, 2_MiB);
+    std::vector<VmId> vms;
+    for (const char* vm_name : {"a", "b", "c"}) {
+      Result<VmId> id = hv.CreateVm({.name = vm_name, .memory_bytes = vm_bytes});
+      ASSERT_TRUE(id.ok()) << name << ": " << id.error().ToString();
+      vms.push_back(*id);
+    }
+    const std::vector<uint32_t> hole = (*hv.GetVm(vms[1]))->guest_nodes();
+    ASSERT_TRUE(hv.DestroyVm(vms[1]).ok());
+    ASSERT_TRUE(hv.ReleaseVmNodes(vms[1]).ok());
+    expect_registry_order("after churn");
+    // The lowest free nodes are the hole, so the next VM of the same size
+    // lands exactly there.
+    Result<VmId> refill = hv.CreateVm({.name = "d", .memory_bytes = vm_bytes});
+    ASSERT_TRUE(refill.ok()) << name;
+    EXPECT_EQ((*hv.GetVm(*refill))->guest_nodes(), hole) << name;
+    expect_registry_order("after refill");
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // injected faults.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/addr/decoder.h"
@@ -86,6 +87,27 @@ TEST_F(MigrateTest, MovesPlacementAndPreservesContents) {
   ASSERT_TRUE(hv_.DestroyVm(id).ok());
   ASSERT_TRUE(hv_.ReleaseVmNodes(id).ok());
   EXPECT_EQ(DiffConservation(booted, CaptureConservation(hv_)), "");
+}
+
+// After a migration the cgroup index follows the VM: the source nodes are
+// claimable by anyone, the target nodes by no one but the VM's cgroup.
+TEST_F(MigrateTest, OwnershipFollowsTheVm) {
+  const VmId id = *hv_.CreateVm({.name = "mover", .memory_bytes = 3_GiB});
+  const std::vector<uint32_t> source = (*hv_.GetVm(id))->guest_nodes();
+  ASSERT_TRUE(hv_.MigrateVm(id, 1).ok());
+  const std::vector<uint32_t> target = (*hv_.GetVm(id))->guest_nodes();
+  EXPECT_EQ(DiffOwnershipIndexes(hv_), "");
+
+  CgroupRegistry& cgroups = hv_.cgroups();
+  ASSERT_TRUE(cgroups.Create("claim-source", {source.begin(), source.end()}, true).ok());
+  const Result<ControlGroup*> stolen =
+      cgroups.Create("claim-target", {target.back()}, true);
+  ASSERT_FALSE(stolen.ok());
+  EXPECT_EQ(stolen.error().code, ErrorCode::kPermissionDenied);
+  EXPECT_NE(stolen.error().message.find("'vm-mover'"), std::string::npos)
+      << stolen.error().message;
+  ASSERT_TRUE(cgroups.Destroy("claim-source").ok());
+  EXPECT_EQ(DiffOwnershipIndexes(hv_), "");
 }
 
 TEST_F(MigrateTest, RejectsSameSocket) {
@@ -181,6 +203,8 @@ TEST_F(MigrateTest, FaultSweepConservesEverything) {
   EXPECT_GT(report->points_probed, 1u);
   EXPECT_GT(report->faults_injected, 0u);
   EXPECT_GT(report->creates_failed, 0u);  // tallies failed migrations
+  // Pinned: the ownership indexes add no fault point to the migrate path.
+  EXPECT_EQ(report->points_probed, 1545u);
 }
 
 }  // namespace
