@@ -7,6 +7,7 @@
 #ifndef SILOZ_BENCH_BENCH_UTIL_H_
 #define SILOZ_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "src/base/stats.h"
+#include "src/base/thread_pool.h"
 #include "src/dram/geometry.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -21,16 +23,43 @@
 namespace siloz {
 namespace bench {
 
+// Largest value any integer bench knob accepts (the pool's own ceiling).
+inline constexpr uint32_t kMaxKnobValue = kMaxThreads;
+
+// Parses `flag N` as a plain decimal in [0, kMaxKnobValue]; `fallback` when
+// the flag is absent. Signs, spaces, trailing characters, a missing value or
+// an out-of-range number print usage to stderr and exit 2: nothing reaches
+// stdout, so no half-printed table, and the value never reaches a pool or
+// the model (`--threads -1` used to size a pool from strtoul's ULONG_MAX).
+inline uint32_t UintFromArgs(int argc, char** argv, const char* flag, uint32_t fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) {
+      continue;
+    }
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
+        value > kMaxKnobValue) {
+      std::fprintf(stderr, "%s: %s expects an integer in [0, %u], got '%s'\n", argv[0], flag,
+                   kMaxKnobValue, text);
+      std::fprintf(stderr,
+                   "usage: %s [--threads N] [--channels-per-shard N] [--bank-groups-per-queue N]\n"
+                   "          [--platform NAME] [--metrics-out FILE] [--trace-out FILE]\n",
+                   argv[0]);
+      std::exit(2);
+    }
+    return static_cast<uint32_t>(value);
+  }
+  return fallback;
+}
+
 // Parses the shared `--threads N` bench knob: 0 (the default) resolves to
 // $SILOZ_THREADS or the hardware concurrency inside the pool; 1 forces the
 // legacy serial path. Results are bit-identical either way (DESIGN.md §8).
 inline uint32_t ThreadsFromArgs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return 0;
+  return UintFromArgs(argc, argv, "--threads", 0);
 }
 
 // Parses the `--channels-per-shard N` model knob (DESIGN.md §13): 0 selects
@@ -40,12 +69,7 @@ inline uint32_t ThreadsFromArgs(int argc, char** argv) {
 // default it to 1 (one shard per channel, the realistic controller shape)
 // and print the value with their telemetry.
 inline uint32_t ChannelsPerShardFromArgs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--channels-per-shard") == 0) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return 1;
+  return UintFromArgs(argc, argv, "--channels-per-shard", 1);
 }
 
 // Parses the `--bank-groups-per-queue N` model knob (DESIGN.md §15): 0
@@ -56,12 +80,7 @@ inline uint32_t ChannelsPerShardFromArgs(int argc, char** argv) {
 // independent queues per bank group, the realistic controller front-end —
 // and print the value with their telemetry.
 inline uint32_t BankGroupsPerQueueFromArgs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--bank-groups-per-queue") == 0) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return 1;
+  return UintFromArgs(argc, argv, "--bank-groups-per-queue", 1);
 }
 
 inline std::string StringFromArgs(int argc, char** argv, const char* flag) {

@@ -55,9 +55,8 @@ std::vector<uint64_t> BlacksmithFuzzer::Schedule(const std::vector<Aggressor>& a
 }
 
 std::vector<BlacksmithFuzzer::Aggressor> BlacksmithFuzzer::SynthesizePattern(
-    Machine& machine, std::span<const PhysRange> accessible) {
+    const AddressDecoder& decoder, std::span<const PhysRange> accessible) {
   SILOZ_CHECK(!accessible.empty());
-  const AddressDecoder& decoder = machine.decoder();
   const DramGeometry& geometry = decoder.geometry();
 
   // Probe a random accessible address; its (socket, channel, dimm, rank,
@@ -126,30 +125,36 @@ std::vector<BlacksmithFuzzer::Aggressor> BlacksmithFuzzer::SynthesizePattern(
   return aggressors;
 }
 
-FuzzReport BlacksmithFuzzer::Run(Machine& machine, std::span<const PhysRange> accessible) {
-  SILOZ_CHECK(machine.fault_tracking()) << "fuzzing requires a fault-tracking machine";
-  FuzzReport report;
+std::vector<HammerBurst> BlacksmithFuzzer::PlanCampaign(const AddressDecoder& decoder,
+                                                        std::span<const PhysRange> accessible) {
+  std::vector<HammerBurst> bursts;
   uint32_t attempts = 0;
-  while (report.patterns_run < config_.patterns && attempts < config_.patterns * 4) {
+  while (bursts.size() < config_.patterns && attempts < config_.patterns * 4) {
     ++attempts;
-    const std::vector<Aggressor> aggressors = SynthesizePattern(machine, accessible);
+    const std::vector<Aggressor> aggressors = SynthesizePattern(decoder, accessible);
     if (aggressors.empty()) {
       continue;
     }
-    const std::vector<uint64_t> schedule = Schedule(aggressors);
-    for (uint32_t round = 0; round < config_.rounds; ++round) {
-      for (uint64_t phys : schedule) {
-        machine.ActivatePhys(phys);
-        ++report.activations;
-      }
+    HammerBurst burst;
+    for (uint64_t phys : Schedule(aggressors)) {
+      burst.schedule.push_back(*decoder.PhysToMedia(phys));
     }
-    ++report.patterns_run;
-    // Let a full refresh window elapse between patterns, as the real fuzzer's
-    // sweep phases do.
-    machine.AdvanceClock(kRefreshWindowNs);
+    burst.rounds = config_.rounds;
+    // Let a full refresh window elapse between patterns, as the real
+    // fuzzer's sweep phases do.
+    burst.gap_ns = kRefreshWindowNs;
+    bursts.push_back(std::move(burst));
   }
-  std::vector<PhysFlip> flips = machine.DrainFlips();
-  report.flips.insert(report.flips.end(), flips.begin(), flips.end());
+  return bursts;
+}
+
+FuzzReport BlacksmithFuzzer::Run(Machine& machine, std::span<const PhysRange> accessible) {
+  SILOZ_CHECK(machine.fault_tracking()) << "fuzzing requires a fault-tracking machine";
+  const std::vector<HammerBurst> bursts = PlanCampaign(machine.decoder(), accessible);
+  FuzzReport report;
+  report.patterns_run = static_cast<uint32_t>(bursts.size());
+  report.activations = machine.RunHammerBursts(bursts);
+  report.flips = machine.DrainFlips();
   return report;
 }
 
@@ -158,7 +163,7 @@ FuzzReport BlacksmithFuzzer::RunRowPress(Machine& machine,
                                          uint64_t open_ns, uint32_t holds) {
   SILOZ_CHECK(machine.fault_tracking());
   FuzzReport report;
-  std::vector<Aggressor> aggressors = SynthesizePattern(machine, accessible);
+  std::vector<Aggressor> aggressors = SynthesizePattern(machine.decoder(), accessible);
   if (aggressors.empty()) {
     return report;
   }

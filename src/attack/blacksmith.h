@@ -10,8 +10,8 @@
 // accessible physical ranges (a VM only reaches its own subarray groups
 // through its EPT mappings), scheduled with weighted round-robin so distinct
 // intensities interleave (real ACTs, no row-buffer hits), and executed
-// through Machine::ActivatePhys so TRR, refresh, and the disturbance model
-// all engage.
+// through the DRAM devices so TRR, refresh, and the disturbance model all
+// engage.
 #ifndef SILOZ_SRC_ATTACK_BLACKSMITH_H_
 #define SILOZ_SRC_ATTACK_BLACKSMITH_H_
 
@@ -67,8 +67,16 @@ class BlacksmithFuzzer {
   explicit BlacksmithFuzzer(BlacksmithConfig config) : config_(config), rng_(config.seed) {}
 
   // Fuzz within `accessible` physical ranges (the attacker VM's memory).
-  // Requires a fault-tracking machine.
+  // Requires a fault-tracking machine. Plans every pattern first, then
+  // hammers them through Machine::RunHammerBursts (per-DIMM fan-out).
   FuzzReport Run(Machine& machine, std::span<const PhysRange> accessible);
+
+  // The campaign Run() hammers: up to config.patterns bursts of
+  // config.rounds rounds, each followed by one refresh window of idle time.
+  // Synthesis reads only the decoder and this fuzzer's RNG, never device
+  // state, so planning up front draws exactly the serial RNG sequence.
+  std::vector<HammerBurst> PlanCampaign(const AddressDecoder& decoder,
+                                        std::span<const PhysRange> accessible);
 
   // RowPress variant (§2.5): few ACTs, long row-open times.
   FuzzReport RunRowPress(Machine& machine, std::span<const PhysRange> accessible,
@@ -86,7 +94,7 @@ class BlacksmithFuzzer {
 
   // Picks a hammerable bank inside `accessible` and synthesizes aggressors
   // for it; empty if the probe failed (retry with a different sample).
-  std::vector<Aggressor> SynthesizePattern(Machine& machine,
+  std::vector<Aggressor> SynthesizePattern(const AddressDecoder& decoder,
                                            std::span<const PhysRange> accessible);
 
   BlacksmithConfig config_;

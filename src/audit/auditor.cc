@@ -19,6 +19,12 @@
 namespace siloz::audit {
 namespace {
 
+// Strided probes per shard of the invertibility and closure sweeps: under a
+// millisecond of work, and enough shards to balance any worker count. A
+// constant, not derived from the worker count, so every --threads value
+// scans the same shards.
+constexpr uint64_t kProbesPerShard = 8192;
+
 std::string Hex(uint64_t value) {
   std::ostringstream out;
   out << "0x" << std::hex << value;
@@ -135,49 +141,92 @@ void Auditor::AddFinding(Report& report, Invariant invariant, uint64_t phys, uin
   report.Add(std::move(finding), options_.max_findings_per_invariant);
 }
 
+// --- Sharded scans ----------------------------------------------------------
+
+std::vector<Report> Auditor::ScanShards(uint64_t count,
+                                        const std::function<void(uint64_t, Report&)>& scan,
+                                        PoolMetrics* pool_metrics) const {
+  std::vector<Report> locals(count);
+  ThreadPool pool(options_.threads);
+  pool.ParallelFor(0, count, [&](uint64_t i) { scan(i, locals[i]); });
+  if (pool_metrics != nullptr) {
+    *pool_metrics = pool.metrics();
+  }
+  return locals;
+}
+
+void Auditor::MergeShardReports(const std::vector<Report>& shards, Report& report) const {
+  // Shards cover consecutive slices of the serial probe order, so merging
+  // them in order reproduces the serial findings, counters and cap.
+  for (const Report& shard : shards) {
+    report.Merge(shard, options_.max_findings_per_invariant);
+  }
+}
+
 // --- Invariant 1: phys <-> media is a bijection -----------------------------
 
+void Auditor::ProbePhysRoundTrip(uint64_t phys, Report& report) const {
+  ++report.StatsFor(Invariant::kDecoderInvertibility).probes;
+  const DramGeometry& geom = truth_.geometry();
+  Result<MediaAddress> media = truth_.PhysToMedia(phys);
+  if (!media.ok()) {
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
+               "physical address does not decode: " + media.error().ToString());
+    return;
+  }
+  if (Status valid = ValidateAddress(geom, *media); !valid.ok()) {
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
+               "decoded media address out of geometry bounds: " + valid.error().ToString());
+    return;
+  }
+  Result<uint64_t> back = truth_.MediaToPhys(*media);
+  if (!back.ok()) {
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
+               "media address does not map back: " + back.error().ToString());
+  } else if (*back != phys) {
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
+               "round trip returns " + Hex(*back) + " instead of " + Hex(phys) +
+                   ": decoder is not its own inverse");
+  }
+}
+
+void Auditor::ProbeMediaRoundTrip(const MediaAddress& media, Report& report) const {
+  ++report.StatsFor(Invariant::kDecoderInvertibility).probes;
+  const uint64_t total = truth_.geometry().total_bytes();
+  Result<uint64_t> phys = truth_.MediaToPhys(media);
+  if (!phys.ok()) {
+    AddFinding(report, Invariant::kDecoderInvertibility, 0, 0,
+               "media address " + media.ToString() +
+                   " has no physical image: " + phys.error().ToString());
+    return;
+  }
+  if (*phys >= total) {
+    AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0,
+               "media address " + media.ToString() + " maps outside the physical space");
+    return;
+  }
+  Result<MediaAddress> back = truth_.PhysToMedia(*phys);
+  if (!back.ok() || !(*back == media)) {
+    AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0,
+               "media round trip through " + Hex(*phys) + " does not return " +
+                   media.ToString());
+  }
+}
+
 void Auditor::CheckDecoderInvertibility(Report& report) const {
-  InvariantStats& stats = report.StatsFor(Invariant::kDecoderInvertibility);
-  stats.ran = true;
+  report.StatsFor(Invariant::kDecoderInvertibility).ran = true;
   const DramGeometry& geom = truth_.geometry();
   const uint64_t total = geom.total_bytes();
-  Rng rng(options_.seed);
-
-  auto probe_phys = [&](uint64_t phys) {
-    ++stats.probes;
-    Result<MediaAddress> media = truth_.PhysToMedia(phys);
-    if (!media.ok()) {
-      AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-                 "physical address does not decode: " + media.error().ToString());
-      return;
-    }
-    if (Status valid = ValidateAddress(geom, *media); !valid.ok()) {
-      AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-                 "decoded media address out of geometry bounds: " + valid.error().ToString());
-      return;
-    }
-    Result<uint64_t> back = truth_.MediaToPhys(*media);
-    if (!back.ok()) {
-      AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-                 "media address does not map back: " + back.error().ToString());
-    } else if (*back != phys) {
-      AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-                 "round trip returns " + Hex(*back) + " instead of " + Hex(phys) +
-                     ": decoder is not its own inverse");
-    }
-  };
 
   // Stratified physical sweep: fixed stride plus seeded random fill, so every
   // interleave period is sampled without 10^8 exhaustive probes (available
-  // via options.exhaustive).
+  // via options.exhaustive). All random draws happen here, in the serial
+  // order, before any shard runs.
   const uint64_t stride = options_.exhaustive ? kPage4K : options_.probe_stride;
-  for (uint64_t phys = 0; phys < total; phys += stride) {
-    probe_phys(phys);
-  }
-  probe_phys(total - kCacheLineBytes);
+  Rng rng(options_.seed);
+  std::vector<uint64_t> tail = {total - kCacheLineBytes};
   for (uint64_t i = 0; i < options_.random_probes; ++i) {
-    probe_phys(rng.NextBelow(total));
+    tail.push_back(rng.NextBelow(total));
   }
 
   // Media-space sweep: the inverse direction, over every (socket, channel,
@@ -190,96 +239,138 @@ void Auditor::CheckDecoderInvertibility(Report& report) const {
     rows.insert(static_cast<uint32_t>(rng.NextBelow(geom.rows_per_bank)));
   }
   const uint32_t last_column = static_cast<uint32_t>(geom.row_bytes - kCacheLineBytes);
-  auto probe_media = [&](const MediaAddress& media) {
-    ++stats.probes;
-    Result<uint64_t> phys = truth_.MediaToPhys(media);
-    if (!phys.ok()) {
-      AddFinding(report, Invariant::kDecoderInvertibility, 0, 0,
-                 "media address " + media.ToString() +
-                     " has no physical image: " + phys.error().ToString());
+
+  // Shards in serial probe order: slices of the strided sweep, the tail
+  // (last line + random fill), then the media sweep per (socket, channel).
+  const uint64_t strided = (total + stride - 1) / stride;
+  const uint64_t sweep_shards = (strided + kProbesPerShard - 1) / kProbesPerShard;
+  const uint64_t media_shards = static_cast<uint64_t>(geom.sockets) * geom.channels_per_socket;
+  auto scan = [&](uint64_t shard, Report& local) {
+    if (shard < sweep_shards) {
+      const uint64_t end = std::min(strided, (shard + 1) * kProbesPerShard);
+      for (uint64_t i = shard * kProbesPerShard; i < end; ++i) {
+        ProbePhysRoundTrip(i * stride, local);
+      }
       return;
     }
-    if (*phys >= total) {
-      AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0,
-                 "media address " + media.ToString() + " maps outside the physical space");
+    if (shard == sweep_shards) {
+      for (uint64_t phys : tail) {
+        ProbePhysRoundTrip(phys, local);
+      }
       return;
     }
-    Result<MediaAddress> back = truth_.PhysToMedia(*phys);
-    if (!back.ok() || !(*back == media)) {
-      AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0,
-                 "media round trip through " + Hex(*phys) + " does not return " +
-                     media.ToString());
-    }
-  };
-  MediaAddress media;
-  for (media.socket = 0; media.socket < geom.sockets; ++media.socket) {
-    for (media.channel = 0; media.channel < geom.channels_per_socket; ++media.channel) {
-      for (media.dimm = 0; media.dimm < geom.dimms_per_channel; ++media.dimm) {
-        for (media.rank = 0; media.rank < geom.ranks_per_dimm; ++media.rank) {
-          for (media.bank = 0; media.bank < geom.banks_per_rank; ++media.bank) {
-            for (uint32_t row : rows) {
-              media.row = row;
-              media.column = 0;
-              probe_media(media);
-              media.column = last_column;
-              probe_media(media);
-            }
+    const uint64_t socket_channel = shard - sweep_shards - 1;
+    MediaAddress media;
+    media.socket = static_cast<uint32_t>(socket_channel / geom.channels_per_socket);
+    media.channel = static_cast<uint32_t>(socket_channel % geom.channels_per_socket);
+    for (media.dimm = 0; media.dimm < geom.dimms_per_channel; ++media.dimm) {
+      for (media.rank = 0; media.rank < geom.ranks_per_dimm; ++media.rank) {
+        for (media.bank = 0; media.bank < geom.banks_per_rank; ++media.bank) {
+          for (uint32_t row : rows) {
+            media.row = row;
+            media.column = 0;
+            ProbeMediaRoundTrip(media, local);
+            media.column = last_column;
+            ProbeMediaRoundTrip(media, local);
           }
         }
+      }
+    }
+  };
+  MergeShardReports(ScanShards(sweep_shards + 1 + media_shards, scan), report);
+}
+
+// --- Invariant 2: every node's pages stay inside its groups -----------------
+
+void Auditor::ProbeNodePage(const NumaNode& node, uint64_t phys, Report& report) const {
+  ++report.StatsFor(Invariant::kDomainClosure).probes;
+  Result<MediaAddress> media = truth_.PhysToMedia(phys);
+  if (!media.ok()) {
+    AddFinding(report, Invariant::kDomainClosure, phys, 0,
+               "page of node " + std::to_string(node.id()) +
+                   " does not decode: " + media.error().ToString());
+    return;
+  }
+  if (media->socket != node.physical_socket()) {
+    AddFinding(report, Invariant::kDomainClosure, phys, 0,
+               "page of node " + std::to_string(node.id()) + " decodes to socket " +
+                   std::to_string(media->socket) + ", node is pinned to socket " +
+                   std::to_string(node.physical_socket()));
+    return;
+  }
+  Result<uint32_t> group = GroupOfRow(media->socket, truth_.ClusterOf(*media), media->row);
+  if (!group.ok()) {
+    AddFinding(report, Invariant::kDomainClosure, phys, 0,
+               "page has no subarray group: " + group.error().ToString());
+    return;
+  }
+  Result<uint32_t> owner = hypervisor_.NodeOfGroup(*group);
+  if (!owner.ok() || *owner != node.id()) {
+    AddFinding(report, Invariant::kDomainClosure, phys, 0,
+               "page provisioned to node " + std::to_string(node.id()) +
+                   " decodes into subarray group " + std::to_string(*group) + " owned by " +
+                   (owner.ok() ? "node " + std::to_string(*owner) : "nobody") +
+                   ": the node spans a group boundary");
+  }
+}
+
+void Auditor::ScanRemapBlocks(uint32_t rank, HalfRowSide side, uint32_t bank,
+                              uint32_t row_begin, uint32_t row_end, Report& report) const {
+  InvariantStats& stats = report.StatsFor(Invariant::kDomainClosure);
+  for (uint32_t base = row_begin; base < row_end; base += effective_rows_) {
+    const uint32_t block = remapper_.ToInternal(base, rank, bank, side) / effective_rows_;
+    for (uint32_t row = base; row < std::min(base + effective_rows_, row_end); ++row) {
+      ++stats.probes;
+      const uint32_t internal = remapper_.ToInternal(row, rank, bank, side);
+      if (internal / effective_rows_ != block) {
+        MediaAddress media;
+        media.rank = rank;
+        media.bank = bank;
+        media.row = row;
+        Result<uint64_t> phys = truth_.MediaToPhys(media);
+        AddFinding(report, Invariant::kDomainClosure, phys.ok() ? *phys : 0, internal,
+                   "remap chain (rank " + std::to_string(rank) + ", side " +
+                       HalfRowSideName(side) + ") scatters media block " +
+                       std::to_string(base / effective_rows_) + " across internal blocks " +
+                       std::to_string(block) + " and " +
+                       std::to_string(internal / effective_rows_));
       }
     }
   }
 }
 
-// --- Invariant 2: every node's pages stay inside its groups -----------------
-
 void Auditor::CheckDomainClosure(Report& report) const {
-  InvariantStats& stats = report.StatsFor(Invariant::kDomainClosure);
-  stats.ran = true;
+  report.StatsFor(Invariant::kDomainClosure).ran = true;
   const DramGeometry& geom = truth_.geometry();
-  Rng rng(options_.seed ^ 0x5107u);
-
-  auto probe = [&](const NumaNode* node, uint64_t phys) {
-    ++stats.probes;
-    Result<MediaAddress> media = truth_.PhysToMedia(phys);
-    if (!media.ok()) {
-      AddFinding(report, Invariant::kDomainClosure, phys, 0,
-                 "page of node " + std::to_string(node->id()) +
-                     " does not decode: " + media.error().ToString());
-      return;
-    }
-    if (media->socket != node->physical_socket()) {
-      AddFinding(report, Invariant::kDomainClosure, phys, 0,
-                 "page of node " + std::to_string(node->id()) + " decodes to socket " +
-                     std::to_string(media->socket) + ", node is pinned to socket " +
-                     std::to_string(node->physical_socket()));
-      return;
-    }
-    Result<uint32_t> group = GroupOfRow(media->socket, truth_.ClusterOf(*media), media->row);
-    if (!group.ok()) {
-      AddFinding(report, Invariant::kDomainClosure, phys, 0,
-                 "page has no subarray group: " + group.error().ToString());
-      return;
-    }
-    Result<uint32_t> owner = hypervisor_.NodeOfGroup(*group);
-    if (!owner.ok() || *owner != node->id()) {
-      AddFinding(report, Invariant::kDomainClosure, phys, 0,
-                 "page provisioned to node " + std::to_string(node->id()) +
-                     " decodes into subarray group " + std::to_string(*group) + " owned by " +
-                     (owner.ok() ? "node " + std::to_string(*owner) : "nobody") +
-                     ": the node spans a group boundary");
-    }
-  };
-
   const uint64_t stride = options_.exhaustive ? kPage4K : options_.probe_stride;
+
+  // Page sweep of every node range: strided probes, the last line, and 16
+  // seeded random probes per range, drawn here in the serial order. A range
+  // splits into slices of kProbesPerShard strided probes; its last slice
+  // also carries the range's tail probes.
+  struct PageSlice {
+    const NumaNode* node = nullptr;
+    uint64_t begin = 0;  // range start
+    uint64_t first = 0;  // strided probe indices [first, last)
+    uint64_t last = 0;
+    std::vector<uint64_t> tail;
+  };
+  Rng rng(options_.seed ^ 0x5107u);
+  std::vector<PageSlice> pages;
   for (const NumaNode* node : nodes_by_id_) {
     for (const PhysRange& range : node->ranges()) {
-      for (uint64_t phys = range.begin; phys < range.end; phys += stride) {
-        probe(node, phys);
+      const uint64_t strided = (range.size() + stride - 1) / stride;
+      for (uint64_t first = 0;; first += kProbesPerShard) {
+        const uint64_t last = std::min(strided, first + kProbesPerShard);
+        pages.push_back(PageSlice{node, range.begin, first, last, {}});
+        if (last == strided) {
+          break;
+        }
       }
-      probe(node, range.end - kCacheLineBytes);
+      std::vector<uint64_t>& tail = pages.back().tail;
+      tail.push_back(range.end - kCacheLineBytes);
       for (int i = 0; i < 16; ++i) {
-        probe(node, range.begin + rng.NextBelow(range.size()));
+        tail.push_back(range.begin + rng.NextBelow(range.size()));
       }
     }
   }
@@ -287,35 +378,46 @@ void Auditor::CheckDomainClosure(Report& report) const {
   // Post-remap closure (§6): the DIMM transform chain must permute media
   // subarray blocks onto whole internal blocks, for every rank and half-row
   // side, or a media-level group physically straddles two internal
-  // subarrays. Exhaustive over row space — it is only 2^17 rows per bank.
+  // subarrays. Exhaustive over row space — it is only 2^17 rows per bank —
+  // in slices of whole blocks.
+  struct RemapSlice {
+    uint32_t rank = 0;
+    HalfRowSide side = HalfRowSide::kA;
+    uint32_t bank = 0;
+    uint32_t row_begin = 0;
+    uint32_t row_end = 0;
+  };
   const uint32_t banks = remapper_.config().repairs.empty() ? 1 : geom.banks_per_rank;
+  const uint32_t slice_rows =
+      std::max<uint32_t>(1, static_cast<uint32_t>(kProbesPerShard) / effective_rows_) *
+      effective_rows_;
+  std::vector<RemapSlice> remaps;
   for (uint32_t rank = 0; rank < geom.ranks_per_dimm; ++rank) {
     for (HalfRowSide side : {HalfRowSide::kA, HalfRowSide::kB}) {
       for (uint32_t bank = 0; bank < banks; ++bank) {
-        for (uint32_t base = 0; base < geom.rows_per_bank; base += effective_rows_) {
-          const uint32_t block = remapper_.ToInternal(base, rank, bank, side) / effective_rows_;
-          for (uint32_t row = base; row < std::min(base + effective_rows_, geom.rows_per_bank);
-               ++row) {
-            ++stats.probes;
-            const uint32_t internal = remapper_.ToInternal(row, rank, bank, side);
-            if (internal / effective_rows_ != block) {
-              MediaAddress media;
-              media.rank = rank;
-              media.bank = bank;
-              media.row = row;
-              Result<uint64_t> phys = truth_.MediaToPhys(media);
-              AddFinding(report, Invariant::kDomainClosure, phys.ok() ? *phys : 0, internal,
-                         "remap chain (rank " + std::to_string(rank) + ", side " +
-                             HalfRowSideName(side) + ") scatters media block " +
-                             std::to_string(base / effective_rows_) + " across internal blocks " +
-                             std::to_string(block) + " and " +
-                             std::to_string(internal / effective_rows_));
-            }
-          }
+        for (uint32_t base = 0; base < geom.rows_per_bank; base += slice_rows) {
+          remaps.push_back(RemapSlice{rank, side, bank, base,
+                                      std::min(base + slice_rows, geom.rows_per_bank)});
         }
       }
     }
   }
+
+  auto scan = [&](uint64_t shard, Report& local) {
+    if (shard < pages.size()) {
+      const PageSlice& slice = pages[shard];
+      for (uint64_t i = slice.first; i < slice.last; ++i) {
+        ProbeNodePage(*slice.node, slice.begin + i * stride, local);
+      }
+      for (uint64_t phys : slice.tail) {
+        ProbeNodePage(*slice.node, phys, local);
+      }
+      return;
+    }
+    const RemapSlice& slice = remaps[shard - pages.size()];
+    ScanRemapBlocks(slice.rank, slice.side, slice.bank, slice.row_begin, slice.row_end, local);
+  };
+  MergeShardReports(ScanShards(pages.size() + remaps.size(), scan), report);
 }
 
 // --- Invariant 3: EPT rows fenced by >= blast-radius guard rows -------------
@@ -409,26 +511,26 @@ void Auditor::CheckBlastRadius(Report& report) const {
     }
   }
 
-  std::vector<Report> locals(shards.size());
-  ThreadPool pool(options_.threads);
+  std::vector<Report> locals;
   const auto wall_start = std::chrono::steady_clock::now();
   {
     obs::TraceSpan scan_span("audit.BlastRadiusScan");
-    pool.ParallelFor(0, shards.size(),
-                     [&](uint64_t i) { ScanBlastRadiusShard(shards[i], locals[i]); });
+    locals = ScanShards(
+        shards.size(),
+        [&](uint64_t i, Report& local) { ScanBlastRadiusShard(shards[i], local); },
+        &report.scan_pool);
   }
   report.scan_wall_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - wall_start)
                             .count();
-  report.scan_pool = pool.metrics();
   // Shard sizes are fixed by geometry, so observing them in shard order on
   // the coordinating thread keeps the histogram thread-count-invariant.
   obs::Histogram& per_shard =
       obs::Registry::Global().GetHistogram("audit.blast_radius.probes_per_shard");
   for (const Report& local : locals) {
     per_shard.Observe(local.StatsFor(Invariant::kBlastRadius).probes);
-    report.Merge(local, options_.max_findings_per_invariant);
   }
+  MergeShardReports(locals, report);
 }
 
 void Auditor::ScanBlastRadiusShard(const ScanShard& shard, Report& report) const {

@@ -27,6 +27,7 @@
 #define SILOZ_SRC_AUDIT_AUDITOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,10 +59,11 @@ struct Options {
   uint64_t seed = 0xA0D17;
   // Findings retained per invariant; further violations are only counted.
   size_t max_findings_per_invariant = 16;
-  // Worker threads for the blast-radius scan (the ~4.2M-probe pass): 0 =
-  // $SILOZ_THREADS or hardware concurrency, 1 = serial scan. The scan is
-  // sharded by subarray group and shard reports merge in slice order, so
-  // findings, counters, and report bytes are identical for every value.
+  // Worker threads for the invertibility, closure and blast-radius scans:
+  // 0 = $SILOZ_THREADS or hardware concurrency, 1 = serial scan. Each scan
+  // is cut into fixed shards (probe slices, subarray groups) whose private
+  // reports merge in slice order, so findings, counters, and report bytes
+  // are identical for every value.
   uint32_t threads = 0;
 };
 
@@ -119,6 +121,24 @@ class Auditor {
   // local in the parallel scan). Touches only const state, so shards are
   // safe to run concurrently.
   void ScanBlastRadiusShard(const ScanShard& shard, Report& report) const;
+
+  // Runs scan(i, report_i) for every shard i in [0, count) on
+  // options_.threads workers, each into a private report, and returns the
+  // reports in shard order for the caller to Merge. Shards draw no random
+  // numbers: every probe is fixed before the scan starts.
+  std::vector<Report> ScanShards(uint64_t count,
+                                 const std::function<void(uint64_t, Report&)>& scan,
+                                 PoolMetrics* pool_metrics = nullptr) const;
+  void MergeShardReports(const std::vector<Report>& shards, Report& report) const;
+
+  // One probe of each sharded invariant, accumulating into `report`.
+  void ProbePhysRoundTrip(uint64_t phys, Report& report) const;
+  void ProbeMediaRoundTrip(const MediaAddress& media, Report& report) const;
+  void ProbeNodePage(const NumaNode& node, uint64_t phys, Report& report) const;
+  // Post-remap closure of media rows [row_begin, row_end) of one rank,
+  // side and bank; the range is whole presumed subarray blocks.
+  void ScanRemapBlocks(uint32_t rank, HalfRowSide side, uint32_t bank, uint32_t row_begin,
+                       uint32_t row_end, Report& report) const;
 
   // Presumed global group of media row `row` in (socket, cluster).
   Result<uint32_t> GroupOfRow(uint32_t socket, uint32_t cluster, uint32_t row) const;

@@ -124,15 +124,19 @@ void Report::Merge(const Report& shard, size_t max_findings_per_invariant) {
     stats[i].ran |= shard.stats[i].ran;
   }
   suppressed += shard.suppressed;
+  // Kept findings per invariant, counted once: a merge is linear in the
+  // two lists, not their product.
+  size_t kept[4] = {};
+  for (const Finding& f : findings) {
+    ++kept[static_cast<size_t>(f.invariant)];
+  }
   for (const Finding& finding : shard.findings) {
-    size_t already = 0;
-    for (const Finding& f : findings) {
-      already += (f.invariant == finding.invariant);
-    }
+    size_t& already = kept[static_cast<size_t>(finding.invariant)];
     if (already >= max_findings_per_invariant) {
       ++suppressed;  // violation counters were merged wholesale above
     } else {
       findings.push_back(finding);
+      ++already;
     }
   }
 }

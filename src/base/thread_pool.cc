@@ -9,11 +9,23 @@
 namespace siloz {
 
 uint32_t ResolveThreads(uint32_t requested) {
+  SILOZ_CHECK_LE(requested, kMaxThreads) << "thread count " << requested << " out of range";
   if (requested > 0) {
     return requested;
   }
   if (const char* env = std::getenv("SILOZ_THREADS"); env != nullptr && env[0] != '\0') {
-    const unsigned long value = std::strtoul(env, nullptr, 10);
+    // Digits only: strtoul alone would read "-1" as ULONG_MAX and "4x" as 4.
+    uint64_t value = 0;
+    bool digits = true;
+    for (const char* c = env; *c != '\0'; ++c) {
+      if (*c < '0' || *c > '9') {
+        digits = false;
+        break;
+      }
+      value = std::min<uint64_t>(value * 10 + static_cast<uint64_t>(*c - '0'), kMaxThreads + 1);
+    }
+    SILOZ_CHECK(digits && value <= kMaxThreads)
+        << "SILOZ_THREADS='" << env << "' is not a thread count in [0, " << kMaxThreads << "]";
     if (value > 0) {
       return static_cast<uint32_t>(value);
     }

@@ -41,9 +41,15 @@ struct PoolMetrics {
   uint64_t sleeps = 0;  // times a worker blocked waiting for work
 };
 
-// Resolves a `--threads N` style knob: N > 0 is taken literally; 0 falls
-// back to $SILOZ_THREADS when set and positive, else the hardware
-// concurrency (minimum 1).
+// Largest worker count any pool accepts; larger requests are input errors.
+inline constexpr uint32_t kMaxThreads = 1024;
+
+// Resolves a `--threads N` style knob: N in [1, kMaxThreads] is taken
+// literally; 0 falls back to $SILOZ_THREADS when set and nonzero, else the
+// hardware concurrency (minimum 1). $SILOZ_THREADS must be a plain decimal
+// in [0, kMaxThreads] ("0" and "" mean auto-detect, as --threads 0 does);
+// anything else, like a requested N above kMaxThreads, fails a CHECK that
+// names the value, so no pool is ever sized from a misparse.
 uint32_t ResolveThreads(uint32_t requested);
 
 class ThreadPool {

@@ -109,12 +109,17 @@ DramDevice::RowRef DramDevice::GetOrCreateRow(uint32_t rank, uint32_t bank, uint
   uint32_t slot = slots[media_row];
   if (slot == kNoSlot) {
     if (slots_used_ % kArenaRowsPerChunk == 0) {
-      // make_unique value-initializes: the chunk is born all-zero, which is
-      // the canonical never-written row (zero data, zero check, zero mask).
-      arena_.push_back(std::make_unique<uint8_t[]>(kArenaRowsPerChunk * slot_stride_));
+      // Left uninitialized: a chunk's pages are touched only as its slots
+      // are handed out, so a device with a few stored rows keeps a few rows
+      // resident, not the whole chunk.
+      arena_.push_back(
+          std::make_unique_for_overwrite<uint8_t[]>(kArenaRowsPerChunk * slot_stride_));
     }
     slot = slots_used_++;
     slots[media_row] = slot;
+    // All-zero is the canonical never-written row (zero data, zero check,
+    // zero mask).
+    std::memset(RowAt(slot).data, 0, slot_stride_);
   }
   return RowAt(slot);
 }

@@ -70,6 +70,8 @@ struct DeviceCounters {
   uint64_t corrected_words = 0;
   uint64_t uncorrectable_words = 0;
   uint64_t silent_corruptions = 0;
+
+  bool operator==(const DeviceCounters&) const = default;
 };
 
 class DramDevice {
@@ -128,8 +130,9 @@ class DramDevice {
   // allocation per kArenaRowsPerChunk rows, each slot holding the row's data
   // bytes, flip-mask bytes, and ECC check bytes contiguously. Chunks are
   // never reallocated, so RowRef pointers stay stable for the device's
-  // lifetime; value-initialized chunks are all-zero, which is exactly the
-  // never-written row state (EccEncode(0) == 0).
+  // lifetime; a slot is zeroed when it is handed out, which is exactly the
+  // never-written row state (EccEncode(0) == 0), and slots past
+  // slots_used_ are never read.
   struct RowRef {
     uint8_t* data = nullptr;       // geometry_.row_bytes
     uint8_t* flip_mask = nullptr;  // geometry_.row_bytes

@@ -171,6 +171,9 @@ Result<TrialOutcome> RunFaultTrial(const RunnerConfig& config, const WorkloadSpe
   machine_config.timings = config.timings;
   machine_config.fault_tracking = true;  // timing fidelity (DESIGN.md §4)
   machine_config.dimm_profiles = config.dimm_profiles;
+  // Trials run on pool workers: the machine's per-DIMM fan-out stays
+  // serial so pools never nest.
+  machine_config.threads = 1;
   Machine machine(machine_config);
 
   SilozHypervisor hypervisor(machine.decoder(), machine.phys_memory(), config.hypervisor);

@@ -1,6 +1,10 @@
 #include "src/sim/machine.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "src/base/check.h"
+#include "src/base/thread_pool.h"
 #include "src/base/units.h"
 
 namespace siloz {
@@ -86,6 +90,7 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
                                                       profile.name));
     }
     phys_memory_ = std::make_unique<DramBackedMemory>(*this);
+    threads_ = ResolveThreads(config_.threads);
   } else {
     phys_memory_ = std::make_unique<FlatPhysMemory>();
   }
@@ -135,12 +140,93 @@ void Machine::AdvanceClock(uint64_t delta_ns) {
   }
 }
 
-uint64_t Machine::PatrolScrubAll() {
-  uint64_t corrected = 0;
-  for (const auto& device : devices_) {
-    corrected += device->PatrolScrub(clock_ns_);
+void Machine::ForEachDevice(std::span<const size_t> order,
+                            const std::function<void(uint64_t)>& fn) {
+  if (order.empty()) {
+    return;  // timing mode: no devices, no pool
   }
-  return corrected;
+  ThreadPool pool(static_cast<uint32_t>(std::min<size_t>(threads_, order.size())));
+  pool.ParallelFor(0, order.size(), [&](uint64_t i) { fn(order[i]); });
+}
+
+uint64_t Machine::RunHammerBursts(std::span<const HammerBurst> bursts) {
+  SILOZ_CHECK(config_.fault_tracking) << "hammering requires a fault-tracking machine";
+  const uint64_t act_cost = config_.act_cost_ns;
+
+  // Serial timeline, computed up front: burst b's ACT i (over all rounds)
+  // lands at start[b] + i * act_cost, and the burst's gap ends at
+  // boundary[b], where the serial AdvanceClock ticks every device.
+  // Each device gets, per burst it takes part in, the schedule slots that
+  // decode to it.
+  struct Slice {
+    size_t burst = 0;
+    std::vector<uint32_t> slots;
+  };
+  std::vector<uint64_t> start(bursts.size());
+  std::vector<uint64_t> boundary(bursts.size());
+  std::vector<std::vector<Slice>> slices(devices_.size());
+  std::vector<uint64_t> device_acts(devices_.size(), 0);
+  uint64_t clock = clock_ns_;
+  uint64_t activations = 0;
+  for (size_t b = 0; b < bursts.size(); ++b) {
+    const HammerBurst& burst = bursts[b];
+    const uint64_t acts = static_cast<uint64_t>(burst.rounds) * burst.schedule.size();
+    start[b] = clock;
+    clock += acts * act_cost + burst.gap_ns;
+    boundary[b] = clock;
+    activations += acts;
+    for (uint32_t slot = 0; slot < burst.schedule.size(); ++slot) {
+      const MediaAddress& media = burst.schedule[slot];
+      const size_t d = DeviceIndex(media.socket, media.channel, media.dimm);
+      SILOZ_CHECK_LT(d, devices_.size()) << media.ToString();
+      if (slices[d].empty() || slices[d].back().burst != b) {
+        slices[d].push_back(Slice{b, {}});
+      }
+      slices[d].back().slots.push_back(slot);
+      device_acts[d] += burst.rounds;
+    }
+  }
+
+  // Heaviest device first, so the longest replay starts earliest; the
+  // order never affects results.
+  std::vector<size_t> order(devices_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return device_acts[a] > device_acts[b]; });
+
+  // A device's state depends only on its own command stream: its ACTs at
+  // their serial clocks, plus an AdvanceTo at every burst boundary — idle
+  // devices included, so the REF/TRR catch-up (and AdvanceTo's per-call
+  // tick clamp) fires exactly where the serial run fires it.
+  ForEachDevice(order, [&](uint64_t d) {
+    DramDevice& dram = *devices_.at(d);
+    auto slice = slices[d].begin();
+    for (size_t b = 0; b < bursts.size(); ++b) {
+      if (slice != slices[d].end() && slice->burst == b) {
+        const HammerBurst& burst = bursts[b];
+        const uint64_t round_ns = burst.schedule.size() * act_cost;
+        for (uint32_t round = 0; round < burst.rounds; ++round) {
+          const uint64_t round_start = start[b] + round * round_ns;
+          for (uint32_t slot : slice->slots) {
+            const MediaAddress& media = burst.schedule[slot];
+            dram.Activate(media.rank, media.bank, media.row, round_start + slot * act_cost);
+          }
+        }
+        ++slice;
+      }
+      dram.AdvanceTo(boundary[b]);
+    }
+  });
+  clock_ns_ = clock;
+  return activations;
+}
+
+uint64_t Machine::PatrolScrubAll() {
+  std::vector<uint64_t> corrected(devices_.size(), 0);
+  std::vector<size_t> order(devices_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  ForEachDevice(order, [&](uint64_t d) { corrected[d] = devices_.at(d)->PatrolScrub(clock_ns_); });
+  return std::accumulate(corrected.begin(), corrected.end(), uint64_t{0});
 }
 
 std::vector<PhysFlip> Machine::DrainFlips() {

@@ -14,7 +14,9 @@
 #define SILOZ_SRC_SIM_MACHINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,22 @@ struct MachineConfig {
   // Wall-clock cost charged per activation in fault mode (uncached access +
   // flush round trip).
   uint64_t act_cost_ns = 50;
+  // Workers for the fault-mode per-DIMM fan-out (RunHammerBursts,
+  // PatrolScrubAll): 0 = $SILOZ_THREADS or the hardware concurrency, 1 =
+  // serial. Results are identical for every value (DESIGN.md §8). A Machine
+  // built on a pool worker pins 1 so pools never nest; a timing-mode
+  // Machine ignores the knob and never builds a pool.
+  uint32_t threads = 0;
+};
+
+// One hammer burst: `schedule` (pre-decoded aggressor rows) replayed
+// `rounds` times back to back, one ACT per entry at act_cost_ns apart, then
+// `gap_ns` of idle time. Equivalent to ActivatePhys per entry followed by
+// AdvanceClock(gap_ns).
+struct HammerBurst {
+  std::vector<MediaAddress> schedule;
+  uint32_t rounds = 0;
+  uint64_t gap_ns = 0;
 };
 
 // A bit flip resolved to physical-address coordinates.
@@ -90,7 +108,16 @@ class Machine {
   uint64_t clock_ns() const { return clock_ns_; }
   void AdvanceClock(uint64_t delta_ns);
 
-  // Run ECC patrol scrub on every DIMM (the 24-hour check of §7.1).
+  // Runs `bursts` in order and returns the ACT count. Device state, flips
+  // and the final clock are exactly those of the serial loop (ActivatePhys
+  // per ACT, AdvanceClock(gap_ns) per burst), but each DIMM replays its own
+  // ACTs on a pool worker: every burst's start clock is known up front, and
+  // each device also takes every burst boundary's AdvanceTo, so its command
+  // stream is the serial one with the other devices' ACTs removed.
+  uint64_t RunHammerBursts(std::span<const HammerBurst> bursts);
+
+  // Run ECC patrol scrub on every DIMM (the 24-hour check of §7.1), one
+  // device per pool task.
   uint64_t PatrolScrubAll();
 
   // Collect and clear all flips observed so far, resolved to physical
@@ -101,6 +128,11 @@ class Machine {
   class DramBackedMemory;
 
   size_t DeviceIndex(uint32_t socket, uint32_t channel, uint32_t dimm) const;
+  // Runs fn(d) for every device index in `order`, on a pool of at most
+  // threads_ workers (never more than there are devices) that lives for
+  // this call only, so the machine holds no threads between fan-outs. `order` is a submission order only (heaviest first);
+  // each call must touch device d alone.
+  void ForEachDevice(std::span<const size_t> order, const std::function<void(uint64_t)>& fn);
 
   MachineConfig config_;
   std::unique_ptr<AddressDecoder> decoder_;
@@ -108,6 +140,7 @@ class Machine {
   std::vector<std::unique_ptr<DramDevice>> devices_;  // fault mode only
   std::unique_ptr<PhysMemory> phys_memory_;
   uint64_t clock_ns_ = 0;
+  uint32_t threads_ = 1;  // resolved config_.threads (fault mode only)
 };
 
 }  // namespace siloz

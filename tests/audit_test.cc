@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
 
 #include "src/addr/decoder.h"
@@ -326,6 +328,140 @@ TEST(ReportTest, FindingCapSuppressesButCounts) {
   EXPECT_EQ(FindingsOf(*report, Invariant::kDecoderInvertibility).size(), 3u);
   EXPECT_GT(report->suppressed, 0u);
   EXPECT_GT(Violations(*report, Invariant::kDecoderInvertibility), 3u);
+}
+
+// --- Sharded scans: one report for every thread count ----------------------
+
+void ExpectSameAuditReport(const Report& actual, const Report& expected) {
+  EXPECT_EQ(actual.ToText(), expected.ToText());
+  EXPECT_EQ(actual.ToJson(), expected.ToJson());
+  ASSERT_EQ(actual.findings.size(), expected.findings.size());
+  for (size_t i = 0; i < actual.findings.size(); ++i) {
+    const Finding& a = actual.findings[i];
+    const Finding& b = expected.findings[i];
+    SCOPED_TRACE("finding " + std::to_string(i));
+    EXPECT_EQ(a.invariant, b.invariant);
+    EXPECT_EQ(a.phys, b.phys);
+    EXPECT_EQ(a.media, b.media);
+    EXPECT_EQ(a.internal_row, b.internal_row);
+    EXPECT_EQ(a.group, b.group);
+    EXPECT_EQ(a.detail, b.detail);
+  }
+  for (Invariant invariant : {Invariant::kDecoderInvertibility, Invariant::kDomainClosure,
+                              Invariant::kGuardFencing, Invariant::kBlastRadius}) {
+    SCOPED_TRACE(audit::InvariantName(invariant));
+    EXPECT_EQ(actual.StatsFor(invariant).probes, expected.StatsFor(invariant).probes);
+    EXPECT_EQ(actual.StatsFor(invariant).violations, expected.StatsFor(invariant).violations);
+    EXPECT_EQ(actual.StatsFor(invariant).ran, expected.StatsFor(invariant).ran);
+  }
+  EXPECT_EQ(actual.suppressed, expected.suppressed);
+}
+
+struct ShardedCase {
+  const char* name;
+  std::optional<Corruption> corruption;
+  size_t max_findings;
+  Invariant violated;  // the invariant the case must trip (if corrupted)
+  uint64_t stride;
+};
+
+// Invertibility and closure at 1, 2 and 8 workers, on the intact platform
+// and under the corrupted-decoder negative controls, with the finding cap
+// both binding and not: the sharded scans must reproduce the serial
+// report's findings, their order, every counter, and the suppression count.
+TEST(AuditDeterminismTest, ShardedInvertibilityAndClosureMatchSerial) {
+  DramGeometry geometry;
+  SkylakeDecoder decoder(geometry);
+  FlatPhysMemory memory;
+  SilozHypervisor hypervisor(decoder, memory, SilozConfig{});
+  ASSERT_TRUE(hypervisor.Boot().ok());
+  const ShardedCase cases[] = {
+      // 128 KiB: a 1.5 GiB node range holds 12288 strided probes, so it
+      // splits into two closure slices (8192 per slice).
+      {"intact", std::nullopt, 16, Invariant::kDecoderInvertibility, 128_KiB},
+      // 4 MiB: ~100K strided probes, a dozen invertibility slices.
+      {"shifted-jump", Corruption::kShiftedJump, 16, Invariant::kDomainClosure, 4_MiB},
+      {"shifted-jump cap 3", Corruption::kShiftedJump, 3, Invariant::kDomainClosure, 4_MiB},
+      {"broken-inverse", Corruption::kBrokenInverse, 16, Invariant::kDecoderInvertibility,
+       4_MiB},
+      {"broken-inverse cap 1", Corruption::kBrokenInverse, 1, Invariant::kDecoderInvertibility,
+       4_MiB},
+      // ~8% of closure probes violate here, so 2000 kept findings come from
+      // several shards and the cap binds mid-merge.
+      {"shifted-jump cap 2000", Corruption::kShiftedJump, 2000, Invariant::kDomainClosure,
+       4_MiB},
+  };
+  for (const ShardedCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::optional<CorruptedDecoder> corrupted;
+    if (c.corruption.has_value()) {
+      corrupted.emplace(decoder, *c.corruption, decoder.region_bytes());
+    }
+    const AddressDecoder& truth =
+        corrupted.has_value() ? static_cast<const AddressDecoder&>(*corrupted) : decoder;
+    auto run = [&](uint32_t threads) {
+      Options options = TestOptions();
+      options.probe_stride = c.stride;
+      options.max_findings_per_invariant = c.max_findings;
+      options.threads = threads;
+      const Auditor auditor(hypervisor, truth, RemapConfig{}, options);
+      Report report;
+      auditor.CheckDecoderInvertibility(report);
+      auditor.CheckDomainClosure(report);
+      return report;
+    };
+    const Report serial = run(1);
+    // The serial probe plan, counted independently of the shards: strided
+    // sweep + last line + random fill + the media sweep (4-8 distinct rows
+    // per bank, two columns each) ...
+    const uint64_t stride = c.stride;
+    const uint64_t media_points = static_cast<uint64_t>(geometry.sockets) *
+                                  geometry.channels_per_socket * geometry.dimms_per_channel *
+                                  geometry.ranks_per_dimm * geometry.banks_per_rank * 2;
+    const uint64_t phys_points = geometry.total_bytes() / stride + 1 + TestOptions().random_probes;
+    EXPECT_GE(serial.StatsFor(Invariant::kDecoderInvertibility).probes,
+              phys_points + 4 * media_points);
+    EXPECT_LE(serial.StatsFor(Invariant::kDecoderInvertibility).probes,
+              phys_points + 8 * media_points);
+    // ... and per node range: strided pages + last line + 16 random, then
+    // every row of every rank and side through the remap chain.
+    uint64_t closure_probes =
+        static_cast<uint64_t>(geometry.ranks_per_dimm) * 2 * geometry.rows_per_bank;
+    for (const NumaNode* node : hypervisor.nodes().AllNodes()) {
+      for (const PhysRange& range : node->ranges()) {
+        closure_probes += (range.size() + stride - 1) / stride + 17;
+      }
+    }
+    EXPECT_EQ(serial.StatsFor(Invariant::kDomainClosure).probes, closure_probes);
+    EXPECT_GT(closure_probes, 3 * 8192u);
+    if (c.corruption.has_value()) {
+      EXPECT_GT(Violations(serial, c.violated), c.max_findings);
+      const std::vector<Finding> kept = FindingsOf(serial, c.violated);
+      EXPECT_EQ(kept.size(), c.max_findings);
+      if (c.violated == Invariant::kDecoderInvertibility) {
+        // Every probe violates, so the kept findings are the first strided
+        // probes, in sweep order.
+        for (size_t i = 0; i < kept.size(); ++i) {
+          EXPECT_EQ(kept[i].phys, i * stride) << i;
+        }
+      }
+      if (c.max_findings == 2000) {
+        // Kept findings name several nodes: a shard never spans two node
+        // ranges, so they come from several shards.
+        std::set<std::string> nodes;
+        for (const Finding& finding : kept) {
+          nodes.insert(finding.detail.substr(0, finding.detail.find(" decodes")));
+        }
+        EXPECT_GE(nodes.size(), 2u);
+      }
+    } else {
+      EXPECT_TRUE(serial.ok()) << serial.ToText();
+    }
+    for (uint32_t threads : {2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExpectSameAuditReport(run(threads), serial);
+    }
+  }
 }
 
 }  // namespace

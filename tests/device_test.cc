@@ -2,8 +2,10 @@
 // TRR interplay, RowPress, patrol scrub.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <numeric>
+#include <vector>
 
 #include "src/base/units.h"
 #include "src/dram/device.h"
@@ -234,6 +236,37 @@ TEST(DeviceTest, PatrolScrubRepairsSingleBitFlips) {
   EXPECT_EQ(out, data);
   EXPECT_EQ(device.Read(0, 0, 70, 64, out, 5000).outcome, EccOutcome::kClean);
   EXPECT_EQ(out, data);
+}
+
+// Stored-row chunks are left uninitialized and each slot is zeroed when it
+// is handed out. Rows across three chunks, allocated right after another
+// device filled and freed its own chunks with 0xFF, must still start as the
+// never-written row: one injected flip is one corrected word, nothing else.
+TEST(DeviceTest, StoredRowsStartZeroAcrossChunks) {
+  constexpr uint32_t kRows = 150;  // more than two 64-row chunks
+  const uint64_t row_bytes = SmallGeometry().row_bytes;
+  {
+    DramDevice dirty = MakeDevice();
+    const std::vector<uint8_t> ones(row_bytes, 0xFF);
+    for (uint32_t row = 0; row < kRows; ++row) {
+      dirty.Write(0, 1, row, 0, ones, 1000 + row);
+      dirty.InjectFlip(0, 1, row, 0, 0, 2000 + row);
+    }
+  }
+  DramDevice device = MakeDevice();
+  for (uint32_t row = 0; row < kRows; ++row) {
+    device.InjectFlip(1, 2, 100 + row, /*byte_in_row=*/row % 64, /*bit_in_byte=*/row % 8,
+                      1000 + row);
+  }
+  std::vector<uint8_t> out(row_bytes, 0xAB);
+  for (uint32_t row = 0; row < kRows; ++row) {
+    const ReadResult result = device.Read(1, 2, 100 + row, 0, out, 5000 + row);
+    ASSERT_EQ(result.outcome, EccOutcome::kCorrected) << "row " << row;
+    EXPECT_EQ(result.corrected_words, 1u) << "row " << row;
+    EXPECT_EQ(std::count(out.begin(), out.end(), uint8_t{0}), static_cast<long>(row_bytes))
+        << "row " << row;
+  }
+  EXPECT_EQ(device.PatrolScrub(10000), 0u);  // every flip was corrected by its read
 }
 
 TEST(DeviceTest, CountersTrackOperations) {

@@ -1,6 +1,9 @@
 // Tests for sim::Machine composition (src/sim/machine.h).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 
@@ -103,6 +106,101 @@ TEST(MachineTest, PatrolScrubRepairsInjectedSingleFlips) {
   machine.AdvanceClock(1000);
   EXPECT_EQ(machine.PatrolScrubAll(), 1u);
   EXPECT_EQ(machine.phys_memory().ReadU64(64_MiB), 0xAAAAAAAAAAAAAAAAull);
+}
+
+// RunHammerBursts fans the replay out per DIMM; it must leave exactly the
+// state of the serial ActivatePhys/AdvanceClock loop, for bursts spanning
+// several devices, back-to-back bursts (gap 0), and a gap long enough to
+// hit DramDevice::AdvanceTo's per-call REF-tick clamp.
+TEST(MachineTest, HammerBurstsMatchSerialLoop) {
+  // Even device indices refresh victims through TRR, odd ones flip.
+  MachineConfig config = FaultConfig();
+  config.dimm_profiles[0].disturbance.threshold_mean = 1500.0;
+  config.dimm_profiles.push_back(config.dimm_profiles[0]);
+  config.dimm_profiles[0].trr.enabled = true;
+  config.dimm_profiles[0].trr.act_threshold = 400;
+  auto media = [](uint32_t socket, uint32_t channel, uint32_t bank, uint32_t row) {
+    MediaAddress address;
+    address.socket = socket;
+    address.channel = channel;
+    address.bank = bank;
+    address.row = row;
+    return address;
+  };
+  std::vector<HammerBurst> bursts(4);
+  bursts[0].schedule = {media(0, 0, 1, 100), media(0, 3, 2, 200), media(0, 0, 1, 102),
+                        media(0, 3, 2, 202), media(1, 5, 7, 300), media(1, 5, 7, 302)};
+  bursts[0].rounds = 3000;
+  bursts[0].gap_ns = kRefreshWindowNs;
+  bursts[1].schedule = {media(0, 3, 4, 500), media(0, 3, 4, 502)};
+  bursts[1].rounds = 500;
+  bursts[1].gap_ns = 0;
+  bursts[2].schedule = bursts[0].schedule;
+  bursts[2].rounds = 2000;
+  bursts[2].gap_ns = 2'000'000'000;  // > 65536 tREFI
+  bursts[3].schedule = {media(1, 0, 0, 700), media(0, 0, 1, 101), media(1, 0, 0, 702)};
+  bursts[3].rounds = 2500;
+  bursts[3].gap_ns = 5'000;
+
+  struct Outcome {
+    uint64_t acts = 0;
+    uint64_t clock_ns = 0;
+    std::vector<DeviceCounters> counters;
+    std::vector<PhysFlip> flips;
+  };
+  auto finish = [](Machine& machine, uint64_t acts) {
+    Outcome outcome;
+    outcome.acts = acts;
+    outcome.clock_ns = machine.clock_ns();
+    for (uint32_t socket = 0; socket < 2; ++socket) {
+      for (uint32_t channel = 0; channel < 6; ++channel) {
+        outcome.counters.push_back(machine.device(socket, channel, 0).counters());
+      }
+    }
+    outcome.flips = machine.DrainFlips();
+    return outcome;
+  };
+
+  config.threads = 1;
+  Machine serial(config);
+  serial.AdvanceClock(12'345);  // start off the zero clock
+  uint64_t serial_acts = 0;
+  for (const HammerBurst& burst : bursts) {
+    for (uint32_t round = 0; round < burst.rounds; ++round) {
+      for (const MediaAddress& address : burst.schedule) {
+        serial.ActivatePhys(*serial.decoder().MediaToPhys(address));
+        ++serial_acts;
+      }
+    }
+    serial.AdvanceClock(burst.gap_ns);
+  }
+  const Outcome expected = finish(serial, serial_acts);
+  ASSERT_FALSE(expected.flips.empty());
+  uint64_t trr_refreshes = 0;
+  for (const DeviceCounters& counters : expected.counters) {
+    trr_refreshes += counters.trr_victim_refreshes;
+  }
+  EXPECT_GT(trr_refreshes, 0u);
+
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    config.threads = threads;
+    Machine machine(config);
+    machine.AdvanceClock(12'345);
+    const Outcome actual = finish(machine, machine.RunHammerBursts(bursts));
+    EXPECT_EQ(actual.acts, expected.acts);
+    EXPECT_EQ(actual.clock_ns, expected.clock_ns);
+    for (size_t d = 0; d < expected.counters.size(); ++d) {
+      EXPECT_TRUE(actual.counters[d] == expected.counters[d]) << "device " << d;
+    }
+    ASSERT_EQ(actual.flips.size(), expected.flips.size());
+    for (size_t i = 0; i < expected.flips.size(); ++i) {
+      EXPECT_EQ(actual.flips[i].phys, expected.flips[i].phys) << i;
+      EXPECT_EQ(actual.flips[i].record.time_ns, expected.flips[i].record.time_ns) << i;
+      EXPECT_EQ(actual.flips[i].record.internal_row, expected.flips[i].record.internal_row) << i;
+      EXPECT_EQ(actual.flips[i].dimm_name, expected.flips[i].dimm_name) << i;
+    }
+  }
 }
 
 TEST(MachineTest, LinearAndSncDecodersSelectable) {

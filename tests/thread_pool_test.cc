@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,44 @@ TEST(ResolveThreadsTest, ZeroFallsBackToEnvThenHardware) {
   EXPECT_GE(ResolveThreads(0), 1u);
   ::unsetenv("SILOZ_THREADS");
   EXPECT_GE(ResolveThreads(0), 1u);
+}
+
+TEST(ResolveThreadsTest, EnvAcceptsPlainDecimalsInRange) {
+  ::setenv("SILOZ_THREADS", "1", 1);
+  EXPECT_EQ(ResolveThreads(0), 1u);
+  ::setenv("SILOZ_THREADS", "1024", 1);
+  EXPECT_EQ(ResolveThreads(0), kMaxThreads);
+  ::setenv("SILOZ_THREADS", "007", 1);
+  EXPECT_EQ(ResolveThreads(0), 7u);
+  ::setenv("SILOZ_THREADS", "", 1);  // empty means unset
+  EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
+  ::setenv("SILOZ_THREADS", "5", 1);  // an explicit request wins over the env
+  EXPECT_EQ(ResolveThreads(2), 2u);
+  EXPECT_EQ(ResolveThreads(kMaxThreads), kMaxThreads);
+  ::unsetenv("SILOZ_THREADS");
+}
+
+// Misparses fail closed: strtoul alone read "-1" as 4294967295 workers and
+// "4x" as 4. Only ResolveThreads runs inside EXPECT_DEATH, never a pool.
+TEST(ResolveThreadsDeathTest, MalformedEnvFailsNamingTheValue) {
+  for (const char* bad : {"-1", "4x", "abc", " 4", "+4", "1025", "4294967297",
+                          "99999999999999999999999"}) {
+    ::setenv("SILOZ_THREADS", bad, 1);
+    std::string pattern = "SILOZ_THREADS='";
+    for (const char* c = bad; *c != '\0'; ++c) {
+      if (std::strchr("+.*?()[]{}|^$\\", *c) != nullptr) {
+        pattern += '\\';
+      }
+      pattern += *c;
+    }
+    EXPECT_DEATH(ResolveThreads(0), pattern + "' is not a thread count") << bad;
+  }
+  ::unsetenv("SILOZ_THREADS");
+}
+
+TEST(ResolveThreadsDeathTest, OversizedRequestFails) {
+  EXPECT_DEATH(ResolveThreads(kMaxThreads + 1), "thread count 1025 out of range");
+  EXPECT_DEATH(ResolveThreads(4294967295u), "thread count 4294967295 out of range");
 }
 
 TEST(ResolveThreadsTest, AutoDetectUsesHardwareConcurrency) {

@@ -81,7 +81,7 @@ int Usage() {
                "  --corrupt none|shifted-jump|broken-inverse\n"
                "                                  audit against a deliberately wrong decoder\n"
                "  --scrambling                    model vendor row-bit scrambling\n"
-               "  --threads N                     blast-radius scan workers (0 = auto,\n"
+               "  --threads N                     audit scan workers (0 = auto,\n"
                "                                  1 = serial; findings identical for all N)\n"
                "  --fault-sweep                   instead of the static audit, run the\n"
                "                                  CreateVm and MigrateVm fault-injection\n"
