@@ -60,7 +60,7 @@ int main() {
     // tenants), alternating with another own row to force ACTs.
     const MediaAddress edge = *machine.decoder().PhysToMedia(attacker_end - kCacheLineBytes);
     MediaAddress decoy = edge;
-    decoy.row = edge.row - 20;
+    decoy.row = edge.row >= 20 ? edge.row - 20 : edge.row + 20;  // stay inside the bank
     const uint64_t aggressors[] = {attacker_end - kCacheLineBytes,
                                    *machine.decoder().MediaToPhys(decoy)};
     const uint64_t acts = HammerPhysAddresses(machine, aggressors, 15000);
@@ -113,9 +113,15 @@ int main() {
       if (!seen_banks.insert(key.ToString()).second) {
         continue;
       }
+      // Only neighbours that exist: a page on row 0 has no row above it.
+      const int64_t rows_per_bank = machine.config().geometry.rows_per_bank;
       for (int32_t delta : {-1, +1}) {
+        const int64_t row = static_cast<int64_t>(line.row) + delta;
+        if (row < 0 || row >= rows_per_bank) {
+          continue;
+        }
         MediaAddress aggressor = line;
-        aggressor.row = static_cast<uint32_t>(static_cast<int64_t>(line.row) + delta);
+        aggressor.row = static_cast<uint32_t>(row);
         aggressors.push_back(*machine.decoder().MediaToPhys(aggressor));
       }
     }

@@ -10,6 +10,8 @@
 int main(int argc, char** argv) {
   using namespace siloz;
   const uint32_t threads = bench::ThreadsFromArgs(argc, argv);  // 0 = auto-detect
+  const uint32_t channels_per_shard = bench::ChannelsPerShardFromArgs(argc, argv);
+  const uint32_t bank_groups_per_queue = bench::BankGroupsPerQueueFromArgs(argc, argv);
   const std::string platform = bench::PlatformFromArgs(argc, argv);
   bench::EnableObsFromArgs(argc, argv);
   bench::PrintHeader("Figure 5: baseline-normalized throughput (Siloz vs Linux/KVM)",
@@ -19,7 +21,7 @@ int main(int argc, char** argv) {
   const bool ok = bench::RunFigure(ThroughputWorkloads(),
                                    {"baseline", bench::BaselineKernel()},
                                    {{"siloz", bench::SilozKernel()}}, 5, 42, "fig5_throughput",
-                                   threads, bench::ChannelsPerShardFromArgs(argc, argv),
-                                   platform, bench::BankGroupsPerQueueFromArgs(argc, argv));
+                                   threads, channels_per_shard, platform,
+                                   bank_groups_per_queue);
   return (bench::WriteObsFromArgs(argc, argv) && ok) ? 0 : 1;
 }

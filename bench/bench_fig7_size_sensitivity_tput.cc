@@ -7,6 +7,8 @@
 int main(int argc, char** argv) {
   using namespace siloz;
   const uint32_t threads = bench::ThreadsFromArgs(argc, argv);  // 0 = auto-detect
+  const uint32_t channels_per_shard = bench::ChannelsPerShardFromArgs(argc, argv);
+  const uint32_t bank_groups_per_queue = bench::BankGroupsPerQueueFromArgs(argc, argv);
   const std::string platform = bench::PlatformFromArgs(argc, argv);
   bench::EnableObsFromArgs(argc, argv);
   bench::PrintHeader("Figure 7: Siloz-1024-normalized throughput, subarray size sweep",
@@ -16,7 +18,6 @@ int main(int argc, char** argv) {
                                    {{"siloz-512", bench::SilozKernel(512)},
                                     {"siloz-2048", bench::SilozKernel(2048)}},
                                    5, 42, "fig7_size_tput", threads,
-                                   bench::ChannelsPerShardFromArgs(argc, argv), platform,
-                                   bench::BankGroupsPerQueueFromArgs(argc, argv));
+                                   channels_per_shard, platform, bank_groups_per_queue);
   return (bench::WriteObsFromArgs(argc, argv) && ok) ? 0 : 1;
 }

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/addr/decoder.h"
 #include "src/dram/device.h"
 #include "src/dram/fault_model.h"
@@ -233,11 +234,10 @@ BenchResult BenchClosedLoop() {
 
 // Sharded end-to-end run: the same decode-once discipline, but over a
 // whole-machine (both sockets) stream served through the per-channel shard
-// path with per-bank-group command queues (DESIGN.md §15). Single worker —
-// worker count is never observable (DESIGN.md §13), so this checksum stands
-// for every thread count. The per-shard request census is reported alongside
-// and gated exactly by the regression script; it depends only on the channel
-// partition, never on the bank-group queue split.
+// path with per-bank-group command queues (DESIGN.md §15), on the calling
+// thread like every sharded run. The per-shard request census is reported
+// alongside and gated exactly by the regression script; it depends only on
+// the channel partition, never on the bank-group queue split.
 BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
                                    uint32_t bank_groups_per_queue) {
   constexpr uint64_t kIters = 2'000'000;
@@ -274,7 +274,6 @@ BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
         config.engine.compute_ns_per_access = 10.0;
         config.channels_per_shard = channels_per_shard;
         config.bank_groups_per_queue = bank_groups_per_queue;
-        config.threads = 1;
         const Result<ShardedEngineResult> run =
             RunShardedClosedLoop(requests, controllers, config);
         if (!run.ok()) {
@@ -304,19 +303,12 @@ BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
 
 int main(int argc, char** argv) {
   bool json = false;
-  // Model knobs of the sharded bench; the committed baseline is measured at
-  // the defaults (one shard per channel, one bank group per queue), and CI
-  // passes them explicitly so the invocation documents the baseline shape.
-  uint32_t channels_per_shard = 1;
-  uint32_t bank_groups_per_queue = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
-    } else if (arg == "--channels-per-shard" && i + 1 < argc) {
-      channels_per_shard = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--bank-groups-per-queue" && i + 1 < argc) {
-      bank_groups_per_queue = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+    } else if (arg == "--channels-per-shard" || arg == "--bank-groups-per-queue") {
+      ++i;  // the value is parsed (fail closed) below
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--channels-per-shard N] [--bank-groups-per-queue N]\n",
@@ -324,6 +316,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Model knobs of the sharded bench; the committed baseline is measured at
+  // the shared model defaults (one shard per channel, one bank group per
+  // queue).
+  const uint32_t channels_per_shard = siloz::bench::ChannelsPerShardFromArgs(argc, argv);
+  const uint32_t bank_groups_per_queue = siloz::bench::BankGroupsPerQueueFromArgs(argc, argv);
 
   const std::vector<siloz::BenchResult> results = {
       siloz::BenchDecodeRoundTrip(),

@@ -7,16 +7,18 @@
 #ifndef SILOZ_BENCH_BENCH_UTIL_H_
 #define SILOZ_BENCH_BENCH_UTIL_H_
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/base/parse.h"
 #include "src/base/stats.h"
 #include "src/base/thread_pool.h"
 #include "src/dram/geometry.h"
+#include "src/memctl/sharded_engine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -26,31 +28,30 @@ namespace bench {
 // Largest value any integer bench knob accepts (the pool's own ceiling).
 inline constexpr uint32_t kMaxKnobValue = kMaxThreads;
 
-// Parses `flag N` as a plain decimal in [0, kMaxKnobValue]; `fallback` when
-// the flag is absent. Signs, spaces, trailing characters, a missing value or
-// an out-of-range number print usage to stderr and exit 2: nothing reaches
-// stdout, so no half-printed table, and the value never reaches a pool or
-// the model (`--threads -1` used to size a pool from strtoul's ULONG_MAX).
-inline uint32_t UintFromArgs(int argc, char** argv, const char* flag, uint32_t fallback) {
+// Parses `flag N` as a plain decimal in [min, kMaxKnobValue]; `fallback`
+// when the flag is absent. Signs, spaces, trailing characters, a missing
+// value or an out-of-range number print usage to stderr and exit 2: nothing
+// reaches stdout, so no half-printed table, and the value never reaches a
+// pool or the model (`--threads -1` used to size a pool from strtoul's
+// ULONG_MAX).
+inline uint32_t UintFromArgs(int argc, char** argv, const char* flag, uint32_t fallback,
+                             uint32_t min = 0) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) != 0) {
       continue;
     }
     const char* text = i + 1 < argc ? argv[i + 1] : "";
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
-        value > kMaxKnobValue) {
-      std::fprintf(stderr, "%s: %s expects an integer in [0, %u], got '%s'\n", argv[0], flag,
-                   kMaxKnobValue, text);
+    const std::optional<uint64_t> value = ParseUint(text, 10, kMaxKnobValue);
+    if (!value || *value < min) {
+      std::fprintf(stderr, "%s: %s expects an integer in [%u, %u], got '%s'\n", argv[0], flag,
+                   min, kMaxKnobValue, text);
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--channels-per-shard N] [--bank-groups-per-queue N]\n"
                    "          [--platform NAME] [--metrics-out FILE] [--trace-out FILE]\n",
                    argv[0]);
       std::exit(2);
     }
-    return static_cast<uint32_t>(value);
+    return static_cast<uint32_t>(*value);
   }
   return fallback;
 }
@@ -66,21 +67,21 @@ inline uint32_t ThreadsFromArgs(int argc, char** argv) {
 // the serial reference engine, N >= 1 the sharded engine with N channels per
 // command-queue shard. Unlike --threads this is part of the model
 // configuration — reported times legitimately depend on it — so benches
-// default it to 1 (one shard per channel, the realistic controller shape)
-// and print the value with their telemetry.
+// default it to the shared model default (kDefaultChannelsPerShard) and
+// print the value with their telemetry.
 inline uint32_t ChannelsPerShardFromArgs(int argc, char** argv) {
-  return UintFromArgs(argc, argv, "--channels-per-shard", 1);
+  return UintFromArgs(argc, argv, "--channels-per-shard", kDefaultChannelsPerShard);
 }
 
-// Parses the `--bank-groups-per-queue N` model knob (DESIGN.md §15): 0
-// keeps one completion window per channel shard (the PR7 shape), N >= 1
-// splits each shard into per-bank-group command queues of N bank groups
-// apiece. Model configuration like --channels-per-shard: completion times
-// depend on it (invariant censuses never do), so benches default it to 1 —
-// independent queues per bank group, the realistic controller front-end —
-// and print the value with their telemetry.
+// Parses the `--bank-groups-per-queue N` model knob (DESIGN.md §15), N >= 1:
+// each channel shard splits into per-bank-group command queues of N bank
+// groups apiece (0 is rejected). Model configuration like
+// --channels-per-shard: completion times depend on it (invariant censuses
+// never do), so benches default it to the shared model default
+// (kDefaultBankGroupsPerQueue) and print the value with their telemetry.
 inline uint32_t BankGroupsPerQueueFromArgs(int argc, char** argv) {
-  return UintFromArgs(argc, argv, "--bank-groups-per-queue", 1);
+  return UintFromArgs(argc, argv, "--bank-groups-per-queue", kDefaultBankGroupsPerQueue,
+                      /*min=*/1);
 }
 
 inline std::string StringFromArgs(int argc, char** argv, const char* flag) {

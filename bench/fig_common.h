@@ -55,11 +55,10 @@ inline uint32_t FigureThreads(uint32_t flag) { return ResolveThreads(flag); }
 // Tables on stdout are byte-identical for every thread count; the grid's
 // scheduler/timing metrics go to stderr so diffs of the tables stay clean.
 inline bool RunFigure(const std::vector<WorkloadSpec>& workloads, const VariantSpec& baseline,
-                      const std::vector<VariantSpec>& variants, uint32_t trials = 5,
-                      uint64_t seed = 42, const char* experiment = "figure",
-                      uint32_t threads = 0, uint32_t channels_per_shard = 1,
-                      const std::string& platform = std::string(),
-                      uint32_t bank_groups_per_queue = 1) {
+                      const std::vector<VariantSpec>& variants, uint32_t trials,
+                      uint64_t seed, const char* experiment, uint32_t threads,
+                      uint32_t channels_per_shard, const std::string& platform,
+                      uint32_t bank_groups_per_queue) {
   RunnerConfig runner;
   runner.trials = trials;
   runner.seed = seed;

@@ -23,12 +23,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/addr/platform.h"
 #include "src/attack/blacksmith.h"
 #include "src/audit/auditor.h"
+#include "src/base/parse.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
 #include "src/obs/metrics.h"
@@ -52,10 +55,46 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-uint64_t FlagValue(int argc, char** argv, const char* flag, uint64_t fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: silozctl <command>\n"
+               "  topology [--platform NAME] [--snc] [--ddr5] [--subarray-rows N]\n"
+               "  attack   [--baseline] [--patterns N] [--seed N]\n"
+               "  run      [workload] [--platform NAME] [--baseline] [--trials N]\n"
+               "           [--threads N] [--faults]\n"
+               "  fleet    [--policy reject|queue|defrag] [--seed N] [--threads N]\n"
+               "           [--duration S] [--rate R] [--burst A] [--epoch S]\n"
+               "           [--timeout S] [--json]\n"
+               "  audit    [--flip-ept] [--stride BYTES] [--threads N] [--json]\n"
+               "  groupof  <phys-address> [--platform NAME]\n"
+               "common: --threads N         worker count (0 = auto: $SILOZ_THREADS,\n"
+               "                            else hardware concurrency)\n"
+               "        --platform NAME     registered platform (skylake, cascadelake,\n"
+               "                            zen, ddr5): decoder family + geometry\n"
+               "        --metrics-out FILE  write the metrics registry as JSON\n"
+               "        --trace-out FILE    record + write a Chrome trace-event log\n");
+}
+
+// Parses `text` as an unsigned integer of type T in C syntax (decimal, 0x
+// hex, leading-0 octal). A sign, an empty value, trailing characters or a
+// value outside T print usage to stderr and exit 2 before the command
+// writes anything to stdout (`--trials abc` used to run 0 trials and exit 0).
+template <typename T>
+T UintArg(const char* what, const char* text) {
+  const std::optional<uint64_t> value = ParseUint(text, 0, std::numeric_limits<T>::max());
+  if (!value) {
+    std::fprintf(stderr, "silozctl: %s expects an unsigned integer, got '%s'\n", what, text);
+    PrintUsage();
+    std::exit(2);
+  }
+  return static_cast<T>(*value);
+}
+
+template <typename T>
+T FlagValue(int argc, char** argv, const char* flag, T fallback) {
+  for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 0);
+      return UintArg<T>(flag, i + 1 < argc ? argv[i + 1] : "");
     }
   }
   return fallback;
@@ -91,8 +130,8 @@ int CmdTopology(int argc, char** argv) {
       return 1;
     }
     geometry = info->geometry;
-    geometry.rows_per_subarray = static_cast<uint32_t>(
-        FlagValue(argc, argv, "--subarray-rows", geometry.rows_per_subarray));
+    geometry.rows_per_subarray =
+        FlagValue<uint32_t>(argc, argv, "--subarray-rows", geometry.rows_per_subarray);
     config.uniform_internal_addressing = info->uniform_internal_addressing;
     Result<std::unique_ptr<AddressDecoder>> made = info->make(geometry);
     if (!made.ok()) {
@@ -106,8 +145,8 @@ int CmdTopology(int argc, char** argv) {
   } else {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
   }
-  config.rows_per_subarray = static_cast<uint32_t>(
-      FlagValue(argc, argv, "--subarray-rows", geometry.rows_per_subarray));
+  config.rows_per_subarray =
+      FlagValue<uint32_t>(argc, argv, "--subarray-rows", geometry.rows_per_subarray);
   FlatPhysMemory memory;
   SilozHypervisor hypervisor(*decoder, memory, config);
   if (Status status = hypervisor.Boot(); !status.ok()) {
@@ -136,6 +175,9 @@ int CmdTopology(int argc, char** argv) {
 
 int CmdAttack(int argc, char** argv) {
   const bool baseline = HasFlag(argc, argv, "--baseline");
+  BlacksmithConfig fuzz;
+  fuzz.patterns = FlagValue<uint32_t>(argc, argv, "--patterns", 12);
+  fuzz.seed = FlagValue<uint64_t>(argc, argv, "--seed", 0xB1AC5);
   MachineConfig machine_config;
   machine_config.fault_tracking = true;
   DimmProfile profile;
@@ -157,9 +199,6 @@ int CmdAttack(int argc, char** argv) {
   for (const VmRegion& region : attacker_vm.regions()) {
     reachable.push_back(PhysRange{region.hpa, region.hpa + region.bytes});
   }
-  BlacksmithConfig fuzz;
-  fuzz.patterns = static_cast<uint32_t>(FlagValue(argc, argv, "--patterns", 12));
-  fuzz.seed = FlagValue(argc, argv, "--seed", 0xB1AC5);
   std::printf("kernel=%s patterns=%u seed=%lu ... ", baseline ? "baseline" : "siloz",
               fuzz.patterns, static_cast<unsigned long>(fuzz.seed));
   std::fflush(stdout);
@@ -183,6 +222,10 @@ int CmdAttack(int argc, char** argv) {
 }
 
 int CmdAudit(int argc, char** argv) {
+  audit::Options options;
+  options.probe_stride = FlagValue<uint64_t>(argc, argv, "--stride", 4_MiB);
+  options.random_probes = 512;
+  options.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
   DramGeometry geometry;
   SkylakeDecoder decoder(geometry);
   FlatPhysMemory memory;
@@ -197,10 +240,6 @@ int CmdAudit(int argc, char** argv) {
 
   // Static pass first: prove the boot-time plan upholds the four isolation
   // invariants, then check this VM's live EPT bytes against it.
-  audit::Options options;
-  options.probe_stride = FlagValue(argc, argv, "--stride", 4_MiB);
-  options.random_probes = 512;
-  options.threads = static_cast<uint32_t>(FlagValue(argc, argv, "--threads", 0));
   audit::Auditor auditor(hypervisor, RemapConfig{}, options);
   audit::Report report = auditor.Run();
   auditor.CheckVmContainment(**hypervisor.GetVm(vm), report);
@@ -231,7 +270,7 @@ int CmdRun(int argc, char** argv) {
     std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
     return 1;
   }
-  spec->accesses = FlagValue(argc, argv, "--accesses", spec->accesses);
+  spec->accesses = FlagValue<uint64_t>(argc, argv, "--accesses", spec->accesses);
   RunnerConfig config;
   const std::string platform = FlagString(argc, argv, "--platform");
   if (!platform.empty()) {
@@ -241,9 +280,9 @@ int CmdRun(int argc, char** argv) {
     }
   }
   config.hypervisor.enabled = !HasFlag(argc, argv, "--baseline");
-  config.trials = static_cast<uint32_t>(FlagValue(argc, argv, "--trials", 5));
-  config.seed = FlagValue(argc, argv, "--seed", 42);
-  config.threads = static_cast<uint32_t>(FlagValue(argc, argv, "--threads", 0));
+  config.trials = FlagValue<uint32_t>(argc, argv, "--trials", 5);
+  config.seed = FlagValue<uint64_t>(argc, argv, "--seed", 42);
+  config.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
   config.fault_tracking = HasFlag(argc, argv, "--faults");
   Result<RunMeasurement> run = RunWorkload(config, *spec);
   if (!run.ok()) {
@@ -277,8 +316,8 @@ int CmdFleet(int argc, char** argv) {
     }
     config.policy = *parsed;
   }
-  config.seed = FlagValue(argc, argv, "--seed", config.seed);
-  config.threads = static_cast<uint32_t>(FlagValue(argc, argv, "--threads", 0));
+  config.seed = FlagValue<uint64_t>(argc, argv, "--seed", config.seed);
+  config.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
   config.duration_s = FlagDouble(argc, argv, "--duration", config.duration_s);
   config.arrivals_per_s = FlagDouble(argc, argv, "--rate", config.arrivals_per_s);
   config.burst_amplitude = FlagDouble(argc, argv, "--burst", config.burst_amplitude);
@@ -324,7 +363,7 @@ int CmdGroupOf(int argc, char** argv) {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
   }
   SubarrayGroupMap map = *SubarrayGroupMap::Build(*decoder, geometry.rows_per_subarray);
-  const uint64_t phys = std::strtoull(argv[2], nullptr, 0);
+  const uint64_t phys = UintArg<uint64_t>("phys-address", argv[2]);
   Result<uint32_t> group = map.GroupOfPhys(phys);
   if (!group.ok()) {
     std::fprintf(stderr, "%s\n", group.error().ToString().c_str());
@@ -364,23 +403,7 @@ int Dispatch(int argc, char** argv, const std::string& command) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: silozctl <command>\n"
-                 "  topology [--platform NAME] [--snc] [--ddr5] [--subarray-rows N]\n"
-                 "  attack   [--baseline] [--patterns N] [--seed N]\n"
-                 "  run      [workload] [--platform NAME] [--baseline] [--trials N]\n"
-                 "           [--threads N] [--faults]\n"
-                 "  fleet    [--policy reject|queue|defrag] [--seed N] [--threads N]\n"
-                 "           [--duration S] [--rate R] [--burst A] [--epoch S]\n"
-                 "           [--timeout S] [--json]\n"
-                 "  audit    [--flip-ept] [--stride BYTES] [--threads N] [--json]\n"
-                 "  groupof  <phys-address> [--platform NAME]\n"
-                 "common: --threads N         worker count (0 = auto: $SILOZ_THREADS,\n"
-                 "                            else hardware concurrency)\n"
-                 "        --platform NAME     registered platform (skylake, cascadelake,\n"
-                 "                            zen, ddr5): decoder family + geometry\n"
-                 "        --metrics-out FILE  write the metrics registry as JSON\n"
-                 "        --trace-out FILE    record + write a Chrome trace-event log\n");
+    PrintUsage();
     return 1;
   }
   const std::string command = argv[1];

@@ -121,14 +121,19 @@ Result<Auditor::RowStatus> Auditor::StatusOfRow(uint32_t socket, uint32_t cluste
   return status;
 }
 
+template <typename Detail>
 void Auditor::AddFinding(Report& report, Invariant invariant, uint64_t phys, uint32_t internal_row,
-                         std::string detail) const {
+                         Detail&& detail) const {
+  if (report.Full(invariant, options_.max_findings_per_invariant)) {
+    report.Suppress(invariant);
+    return;
+  }
   Finding finding;
   finding.invariant = invariant;
   finding.severity = Severity::kCritical;
   finding.phys = phys;
   finding.internal_row = internal_row;
-  finding.detail = std::move(detail);
+  finding.detail = detail();
   Result<MediaAddress> media = truth_.PhysToMedia(phys);
   if (media.ok()) {
     finding.media = *media;
@@ -170,23 +175,27 @@ void Auditor::ProbePhysRoundTrip(uint64_t phys, Report& report) const {
   const DramGeometry& geom = truth_.geometry();
   Result<MediaAddress> media = truth_.PhysToMedia(phys);
   if (!media.ok()) {
-    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-               "physical address does not decode: " + media.error().ToString());
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0, [&] {
+      return "physical address does not decode: " + media.error().ToString();
+    });
     return;
   }
   if (Status valid = ValidateAddress(geom, *media); !valid.ok()) {
-    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-               "decoded media address out of geometry bounds: " + valid.error().ToString());
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0, [&] {
+      return "decoded media address out of geometry bounds: " + valid.error().ToString();
+    });
     return;
   }
   Result<uint64_t> back = truth_.MediaToPhys(*media);
   if (!back.ok()) {
-    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-               "media address does not map back: " + back.error().ToString());
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0, [&] {
+      return "media address does not map back: " + back.error().ToString();
+    });
   } else if (*back != phys) {
-    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0,
-               "round trip returns " + Hex(*back) + " instead of " + Hex(phys) +
-                   ": decoder is not its own inverse");
+    AddFinding(report, Invariant::kDecoderInvertibility, phys, 0, [&] {
+      return "round trip returns " + Hex(*back) + " instead of " + Hex(phys) +
+             ": decoder is not its own inverse";
+    });
   }
 }
 
@@ -195,21 +204,23 @@ void Auditor::ProbeMediaRoundTrip(const MediaAddress& media, Report& report) con
   const uint64_t total = truth_.geometry().total_bytes();
   Result<uint64_t> phys = truth_.MediaToPhys(media);
   if (!phys.ok()) {
-    AddFinding(report, Invariant::kDecoderInvertibility, 0, 0,
-               "media address " + media.ToString() +
-                   " has no physical image: " + phys.error().ToString());
+    AddFinding(report, Invariant::kDecoderInvertibility, 0, 0, [&] {
+      return "media address " + media.ToString() + " has no physical image: " +
+             phys.error().ToString();
+    });
     return;
   }
   if (*phys >= total) {
-    AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0,
-               "media address " + media.ToString() + " maps outside the physical space");
+    AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0, [&] {
+      return "media address " + media.ToString() + " maps outside the physical space";
+    });
     return;
   }
   Result<MediaAddress> back = truth_.PhysToMedia(*phys);
   if (!back.ok() || !(*back == media)) {
-    AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0,
-               "media round trip through " + Hex(*phys) + " does not return " +
-                   media.ToString());
+    AddFinding(report, Invariant::kDecoderInvertibility, *phys, 0, [&] {
+      return "media round trip through " + Hex(*phys) + " does not return " + media.ToString();
+    });
   }
 }
 
@@ -286,31 +297,35 @@ void Auditor::ProbeNodePage(const NumaNode& node, uint64_t phys, Report& report)
   ++report.StatsFor(Invariant::kDomainClosure).probes;
   Result<MediaAddress> media = truth_.PhysToMedia(phys);
   if (!media.ok()) {
-    AddFinding(report, Invariant::kDomainClosure, phys, 0,
-               "page of node " + std::to_string(node.id()) +
-                   " does not decode: " + media.error().ToString());
+    AddFinding(report, Invariant::kDomainClosure, phys, 0, [&] {
+      return "page of node " + std::to_string(node.id()) + " does not decode: " +
+             media.error().ToString();
+    });
     return;
   }
   if (media->socket != node.physical_socket()) {
-    AddFinding(report, Invariant::kDomainClosure, phys, 0,
-               "page of node " + std::to_string(node.id()) + " decodes to socket " +
-                   std::to_string(media->socket) + ", node is pinned to socket " +
-                   std::to_string(node.physical_socket()));
+    AddFinding(report, Invariant::kDomainClosure, phys, 0, [&] {
+      return "page of node " + std::to_string(node.id()) + " decodes to socket " +
+             std::to_string(media->socket) + ", node is pinned to socket " +
+             std::to_string(node.physical_socket());
+    });
     return;
   }
   Result<uint32_t> group = GroupOfRow(media->socket, truth_.ClusterOf(*media), media->row);
   if (!group.ok()) {
-    AddFinding(report, Invariant::kDomainClosure, phys, 0,
-               "page has no subarray group: " + group.error().ToString());
+    AddFinding(report, Invariant::kDomainClosure, phys, 0, [&] {
+      return "page has no subarray group: " + group.error().ToString();
+    });
     return;
   }
   Result<uint32_t> owner = hypervisor_.NodeOfGroup(*group);
   if (!owner.ok() || *owner != node.id()) {
-    AddFinding(report, Invariant::kDomainClosure, phys, 0,
-               "page provisioned to node " + std::to_string(node.id()) +
-                   " decodes into subarray group " + std::to_string(*group) + " owned by " +
-                   (owner.ok() ? "node " + std::to_string(*owner) : "nobody") +
-                   ": the node spans a group boundary");
+    AddFinding(report, Invariant::kDomainClosure, phys, 0, [&] {
+      return "page provisioned to node " + std::to_string(node.id()) +
+             " decodes into subarray group " + std::to_string(*group) + " owned by " +
+             (owner.ok() ? "node " + std::to_string(*owner) : "nobody") +
+             ": the node spans a group boundary";
+    });
   }
 }
 
@@ -328,12 +343,12 @@ void Auditor::ScanRemapBlocks(uint32_t rank, HalfRowSide side, uint32_t bank,
         media.bank = bank;
         media.row = row;
         Result<uint64_t> phys = truth_.MediaToPhys(media);
-        AddFinding(report, Invariant::kDomainClosure, phys.ok() ? *phys : 0, internal,
-                   "remap chain (rank " + std::to_string(rank) + ", side " +
-                       HalfRowSideName(side) + ") scatters media block " +
-                       std::to_string(base / effective_rows_) + " across internal blocks " +
-                       std::to_string(block) + " and " +
-                       std::to_string(internal / effective_rows_));
+        AddFinding(report, Invariant::kDomainClosure, phys.ok() ? *phys : 0, internal, [&] {
+          return "remap chain (rank " + std::to_string(rank) + ", side " + HalfRowSideName(side) +
+                 ") scatters media block " + std::to_string(base / effective_rows_) +
+                 " across internal blocks " + std::to_string(block) + " and " +
+                 std::to_string(internal / effective_rows_);
+        });
       }
     }
   }
@@ -439,8 +454,9 @@ void Auditor::CheckGuardFencing(Report& report) const {
       for (uint64_t phys = range.begin; phys < range.end; phys += kPage4K) {
         Result<MediaAddress> media = truth_.PhysToMedia(phys);
         if (!media.ok()) {
-          AddFinding(report, Invariant::kGuardFencing, phys, 0,
-                     "EPT pool page does not decode: " + media.error().ToString());
+          AddFinding(report, Invariant::kGuardFencing, phys, 0, [&] {
+            return "EPT pool page does not decode: " + media.error().ToString();
+          });
           continue;
         }
         ept_rows.insert({truth_.ClusterOf(*media), media->row});
@@ -467,19 +483,21 @@ void Auditor::CheckGuardFencing(Report& report) const {
               const uint32_t neighbour = remapper_.ToMedia(j, rank, bank, side);
               Result<RowStatus> status = StatusOfRow(socket, cluster, rank, neighbour);
               if (!status.ok()) {
-                AddFinding(report, Invariant::kGuardFencing, 0, j,
-                           "cannot resolve neighbour row " + std::to_string(neighbour) +
-                               " of EPT row: " + status.error().ToString());
+                AddFinding(report, Invariant::kGuardFencing, 0, j, [&] {
+                  return "cannot resolve neighbour row " + std::to_string(neighbour) +
+                         " of EPT row: " + status.error().ToString();
+                });
                 continue;
               }
               if (!status->offlined && !status->ept_pool) {
-                AddFinding(report, Invariant::kGuardFencing, status->phys, j,
-                           "allocatable media row " + std::to_string(neighbour) + " (node " +
-                               std::to_string(status->node) + ") is " +
-                               std::to_string(j > internal ? j - internal : internal - j) +
-                               " internal row(s) from EPT row " + std::to_string(ept_row) +
-                               " (rank " + std::to_string(rank) + ", side " +
-                               HalfRowSideName(side) + "): guard band thinner than the blast radius");
+                AddFinding(report, Invariant::kGuardFencing, status->phys, j, [&] {
+                  return "allocatable media row " + std::to_string(neighbour) + " (node " +
+                         std::to_string(status->node) + ") is " +
+                         std::to_string(j > internal ? j - internal : internal - j) +
+                         " internal row(s) from EPT row " + std::to_string(ept_row) + " (rank " +
+                         std::to_string(rank) + ", side " + HalfRowSideName(side) +
+                         "): guard band thinner than the blast radius";
+                });
               }
             }
           }
@@ -578,28 +596,27 @@ void Auditor::ScanBlastRadiusShard(const ScanShard& shard, Report& report) const
             Result<RowStatus> status = StatusOfRow(socket, cluster, rank, row);
             Result<RowStatus> status2 = StatusOfRow(socket, cluster, rank, neighbour);
             if (!status.ok() || !status2.ok()) {
-              AddFinding(report, Invariant::kBlastRadius, 0, j,
-                         "cannot resolve cross-domain neighbours " + std::to_string(row) +
-                             "/" + std::to_string(neighbour));
+              AddFinding(report, Invariant::kBlastRadius, 0, j, [&] {
+                return "cannot resolve cross-domain neighbours " + std::to_string(row) + "/" +
+                       std::to_string(neighbour);
+              });
               continue;
             }
             if (status->offlined || status2->offlined) {
               continue;  // a guard row fences the boundary
             }
-            const std::string relation =
-                "media rows " + std::to_string(row) + " (node " + std::to_string(*owner) +
-                ") and " + std::to_string(neighbour) + " (node " +
-                (owner2.ok() ? std::to_string(*owner2) : "?") +
-                ") are internal neighbours at distance " +
-                std::to_string(j > internal ? j - internal : internal - j) + " (rank " +
-                std::to_string(rank) + ", side " + HalfRowSideName(side) + ")";
-            if (status->ept_pool || status2->ept_pool) {
-              AddFinding(report, Invariant::kBlastRadius, status2->phys, j,
-                         relation + ": EPT rows reachable from a foreign domain");
-            } else {
-              AddFinding(report, Invariant::kBlastRadius, status2->phys, j,
-                         relation + ": disturbance crosses the domain boundary");
-            }
+            const char* consequence = status->ept_pool || status2->ept_pool
+                                          ? ": EPT rows reachable from a foreign domain"
+                                          : ": disturbance crosses the domain boundary";
+            AddFinding(report, Invariant::kBlastRadius, status2->phys, j, [&] {
+              return "media rows " + std::to_string(row) + " (node " + std::to_string(*owner) +
+                     ") and " + std::to_string(neighbour) + " (node " +
+                     (owner2.ok() ? std::to_string(*owner2) : "?") +
+                     ") are internal neighbours at distance " +
+                     std::to_string(j > internal ? j - internal : internal - j) + " (rank " +
+                     std::to_string(rank) + ", side " + HalfRowSideName(side) + ")" +
+                     consequence;
+            });
           }
         }
       }
@@ -628,15 +645,17 @@ void Auditor::CheckVmContainment(const Vm& vm, Report& report) const {
       }
     }
     if (!contained) {
-      AddFinding(report, Invariant::kDomainClosure, leaf.hpa, 0,
-                 "EPT leaf for GPA " + Hex(leaf.gpa) + " of VM " + std::to_string(vm.id()) +
-                     " maps outside the VM's provisioned regions");
+      AddFinding(report, Invariant::kDomainClosure, leaf.hpa, 0, [&] {
+        return "EPT leaf for GPA " + Hex(leaf.gpa) + " of VM " + std::to_string(vm.id()) +
+               " maps outside the VM's provisioned regions";
+      });
     }
   });
   if (!walk.ok()) {
-    AddFinding(report, Invariant::kGuardFencing, ept->root_hpa(), 0,
-               "EPT walk of VM " + std::to_string(vm.id()) +
-                   " failed integrity verification: " + walk.error().ToString());
+    AddFinding(report, Invariant::kGuardFencing, ept->root_hpa(), 0, [&] {
+      return "EPT walk of VM " + std::to_string(vm.id()) + " failed integrity verification: " +
+             walk.error().ToString();
+    });
   }
 
   if (hypervisor_.config().ept_protection == EptProtection::kGuardRows) {
@@ -653,9 +672,10 @@ void Auditor::CheckVmContainment(const Vm& vm, Report& report) const {
         }
       }
       if (!contained) {
-        AddFinding(report, Invariant::kGuardFencing, page, 0,
-                   "EPT table page of VM " + std::to_string(vm.id()) +
-                       " lies outside the guard-protected pool");
+        AddFinding(report, Invariant::kGuardFencing, page, 0, [&] {
+          return "EPT table page of VM " + std::to_string(vm.id()) +
+                 " lies outside the guard-protected pool";
+        });
       }
     }
   }

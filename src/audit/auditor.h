@@ -144,9 +144,12 @@ class Auditor {
   Result<uint32_t> GroupOfRow(uint32_t socket, uint32_t cluster, uint32_t row) const;
   Result<RowStatus> StatusOfRow(uint32_t socket, uint32_t cluster, uint32_t rank,
                                 uint32_t row) const;
-  // Appends a finding with decoded coordinates filled in from `phys`.
+  // Appends a finding with decoded coordinates filled in from `phys` and
+  // `detail()` as its text. Past the per-invariant cap only the counters
+  // move: no decode, no group lookup, no detail formatting.
+  template <typename Detail>
   void AddFinding(Report& report, Invariant invariant, uint64_t phys, uint32_t internal_row,
-                  std::string detail) const;
+                  Detail&& detail) const;
 
   const SilozHypervisor& hypervisor_;
   const AddressDecoder& truth_;

@@ -59,6 +59,7 @@ struct Finding {
 struct InvariantStats {
   uint64_t probes = 0;      // addresses/rows examined
   uint64_t violations = 0;  // findings attributed to this invariant
+  uint64_t kept = 0;        // of those, held in Report::findings (<= the cap)
   bool ran = false;         // pass executed (vs skipped by configuration)
 };
 
@@ -79,6 +80,16 @@ struct Report {
   // thread counts; the CLI front ends print it separately.
   PoolMetrics scan_pool;
   double scan_wall_ms = 0.0;
+
+  // True once `invariant` holds its cap of findings: a further violation
+  // only counts (Suppress), so callers can skip building the finding.
+  bool Full(Invariant invariant, size_t max_findings_per_invariant) const {
+    return StatsFor(invariant).kept >= max_findings_per_invariant;
+  }
+
+  // Counts a violation past the cap: bumps its violation counter and the
+  // suppression count, keeps nothing.
+  void Suppress(Invariant invariant);
 
   // Appends a finding unless the invariant's cap is exhausted; always bumps
   // the violation counter.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "src/base/check.h"
+#include "src/base/parse.h"
 #include "src/obs/metrics.h"
 
 namespace siloz {
@@ -14,20 +16,11 @@ uint32_t ResolveThreads(uint32_t requested) {
     return requested;
   }
   if (const char* env = std::getenv("SILOZ_THREADS"); env != nullptr && env[0] != '\0') {
-    // Digits only: strtoul alone would read "-1" as ULONG_MAX and "4x" as 4.
-    uint64_t value = 0;
-    bool digits = true;
-    for (const char* c = env; *c != '\0'; ++c) {
-      if (*c < '0' || *c > '9') {
-        digits = false;
-        break;
-      }
-      value = std::min<uint64_t>(value * 10 + static_cast<uint64_t>(*c - '0'), kMaxThreads + 1);
-    }
-    SILOZ_CHECK(digits && value <= kMaxThreads)
+    const std::optional<uint64_t> value = ParseUint(env, 10, kMaxThreads);
+    SILOZ_CHECK(value.has_value())
         << "SILOZ_THREADS='" << env << "' is not a thread count in [0, " << kMaxThreads << "]";
-    if (value > 0) {
-      return static_cast<uint32_t>(value);
+    if (*value > 0) {
+      return static_cast<uint32_t>(*value);
     }
   }
   return std::max(1u, std::thread::hardware_concurrency());

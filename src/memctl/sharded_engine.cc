@@ -1,96 +1,12 @@
 #include "src/memctl/sharded_engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <string>
-#include <utility>
 
-#include "src/base/thread_pool.h"
 #include "src/obs/metrics.h"
 
 namespace siloz {
-namespace {
-
-// One shard's closed loop over a pre-partitioned batch. ShardServer holds
-// the window discipline, so this is the same arithmetic the fused streaming
-// path runs — a single-channel machine sharded 1-way reproduces the serial
-// engine's timing bit-for-bit.
-EngineResult ServeShard(std::span<const DecodedCmd> batch, MemoryController& controller,
-                        const ShardPlan& plan, uint32_t shard,
-                        const ShardedEngineConfig& config) {
-  ShardServer server(controller, config.engine, config.bank_groups_per_queue,
-                     plan.FirstChannelOf(shard), plan.ChannelsOf(shard));
-  for (const DecodedCmd& cmd : batch) {
-    server.Feed(cmd);
-  }
-  return server.result();
-}
-
-}  // namespace
-
-void DecodeBatch::BuildFromTrace(const ShardPlan& plan, std::span<const MemRequest> requests,
-                                 std::span<MemoryController* const> controllers) {
-  SILOZ_CHECK(requests.size() <= std::numeric_limits<uint32_t>::max());
-  const uint32_t count = static_cast<uint32_t>(requests.size());
-  const uint32_t shards = shard_count();
-
-  // Routing pass: shard id per request (kept for the scatter below) plus the
-  // exact per-shard counts, so the flat batch is sized once with no slack.
-  staged_shard_.resize(count);
-  std::fill(offsets_.begin(), offsets_.end(), 0u);
-  for (uint32_t i = 0; i < count; ++i) {
-    const MediaAddress& address = requests[i].address;
-    SILOZ_DCHECK(address.socket < controllers.size());
-    const uint32_t shard = plan.ShardOf(address.socket, address.channel);
-    staged_shard_[i] = static_cast<uint16_t>(shard);
-    ++offsets_[shard + 1];
-  }
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    offsets_[shard + 1] += offsets_[shard];
-  }
-
-  // Decode pass: every request scatters straight into its shard's final
-  // slot. All controllers share one geometry, so the index arithmetic
-  // (DecodeMediaCmd, the single source shared with MemoryController::
-  // DecodeCmd) runs with the geometry hoisted out of the loop instead of
-  // re-reached through a controller pointer per request.
-  const DramGeometry& geometry = controllers[0]->geometry();
-  cmds_.resize(count);
-  std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (uint32_t i = 0; i < count; ++i) {
-    const MemRequest& request = requests[i];
-    const auto flags = static_cast<uint8_t>(
-        (request.is_write ? kDecodedWrite : 0) |
-        (request.source_socket != request.address.socket ? kDecodedRemote : 0));
-    cmds_[cursor[staged_shard_[i]]++] = DecodeMediaCmd(geometry, request.address, flags);
-  }
-  staged_shard_.clear();
-}
-
-void DecodeBatch::Seal() {
-  SILOZ_CHECK(staged_.size() <= std::numeric_limits<uint32_t>::max());
-  const uint32_t count = static_cast<uint32_t>(staged_.size());
-  const uint32_t shards = shard_count();
-
-  std::fill(offsets_.begin(), offsets_.end(), 0u);
-  for (uint32_t i = 0; i < count; ++i) {
-    ++offsets_[staged_shard_[i] + 1];
-  }
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    offsets_[shard + 1] += offsets_[shard];
-  }
-  cmds_.resize(count);
-  std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (uint32_t i = 0; i < count; ++i) {
-    cmds_[cursor[staged_shard_[i]]++] = staged_[i];
-  }
-  staged_.clear();
-  staged_.shrink_to_fit();
-  staged_shard_.clear();
-  staged_shard_.shrink_to_fit();
-}
-
 namespace sharded_internal {
 
 Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
@@ -133,10 +49,10 @@ Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
   }
   staged.FoldInto(registry);
 
-  // Conservation checker: partition + serve + merge must neither drop nor
-  // duplicate a request. A violation here means a shard-dispatch bug, not a
-  // model disagreement, so it is an integrity error rather than a CHECK —
-  // the fault-injection battery drives this path deliberately.
+  // Conservation checker: routing + serve + merge must neither drop nor
+  // duplicate a request. A violation here means a shard-routing bug or a
+  // producer that emitted the wrong count, not a model disagreement, so it
+  // is an integrity error rather than a CHECK.
   if (result.requests != expected_requests) {
     return MakeError(ErrorCode::kIntegrityViolation,
                      "shard conservation violated: served " +
@@ -146,63 +62,20 @@ Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
   return result;
 }
 
-Result<ShardedEngineResult> RunOnBatches(const ShardPlan& plan, const DecodeBatch& batch,
-                                         uint64_t expected_requests,
-                                         std::span<MemoryController* const> controllers,
-                                         const ShardedEngineConfig& config) {
-  SILOZ_CHECK(batch.shard_count() == plan.shard_count());
-  // Fires before any shard serves: an injected dispatch failure must leave
-  // the absorb-target controllers untouched (tested by the sharded stress
-  // battery's fault-injection leg).
-  SILOZ_FAULT_POINT("alloc.shard.dispatch");
-
-  // Worker tasks fill only their own slot; the barrier below makes the
-  // coordinating thread's ordered merge race-free.
-  std::vector<std::optional<MemoryController>> shard_controllers(plan.shard_count());
-  std::vector<EngineResult> shard_results(plan.shard_count());
-  {
-    ThreadPool pool(config.threads);
-    pool.ParallelFor(0, plan.shard_count(), [&](uint64_t shard) {
-      const uint32_t socket = plan.SocketOf(static_cast<uint32_t>(shard));
-      shard_controllers[shard].emplace(controllers[socket]->geometry(), socket,
-                                       controllers[socket]->timings());
-      shard_results[shard] =
-          ServeShard(batch.Shard(static_cast<uint32_t>(shard)), *shard_controllers[shard],
-                     plan, static_cast<uint32_t>(shard), config);
-    });
-  }
-
-  return MergeShards(plan, shard_controllers, shard_results, controllers, expected_requests,
-                     config.bank_groups_per_queue);
-}
-
 }  // namespace sharded_internal
 
 Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> requests,
                                                  std::span<MemoryController* const> controllers,
                                                  const ShardedEngineConfig& config) {
-  SILOZ_CHECK(!controllers.empty());
-  // One worker serves every shard inline, so staging per-shard batches first
-  // would only round-trip the commands through memory: decode-and-feed fused
-  // is the same per-shard command sequence with the copy skipped.
-  if (config.threads <= 1) {
-    return RunShardedFused(
-        requests.size(),
-        [&](auto&& emit) {
-          for (const MemRequest& request : requests) {
-            SILOZ_DCHECK(request.address.socket < controllers.size());
-            emit(controllers[request.address.socket]->DecodeCmd(request),
-                 request.address.socket);
-          }
-        },
-        controllers, config);
-  }
-  const ShardPlan plan(controllers[0]->geometry(), static_cast<uint32_t>(controllers.size()),
-                       config.channels_per_shard);
-  SILOZ_FAULT_POINT("alloc.shard.partition");
-  DecodeBatch batch(plan.shard_count());
-  batch.BuildFromTrace(plan, requests, controllers);
-  return sharded_internal::RunOnBatches(plan, batch, requests.size(), controllers, config);
+  return RunShardedFused(
+      requests.size(),
+      [&](auto&& emit) {
+        for (const MemRequest& request : requests) {
+          SILOZ_DCHECK(request.address.socket < controllers.size());
+          emit(controllers[request.address.socket]->DecodeCmd(request), request.address.socket);
+        }
+      },
+      controllers, config);
 }
 
 }  // namespace siloz

@@ -1,30 +1,31 @@
-// Sharded closed-loop engine: per-channel command queues served in parallel.
+// Sharded closed-loop engine: per-channel command queues.
 //
 // The serial engine (engine.h) couples every channel through one MLP window:
 // request i+1 cannot issue until the globally-oldest in-flight request
 // retires, wherever it lives. Real controllers are not built that way —
 // each channel owns an independent command queue, and cores sustain their
 // MLP against the channel actually servicing the miss. The sharded engine
-// models that decomposition (ROADMAP item 4, DESIGN.md §13): the request
-// stream is partitioned by (socket, channel block) into per-shard batches of
-// pre-decoded commands, every shard runs its own closed loop against a
-// shard-private MemoryController, and the per-shard results are merged in a
-// fixed shard order.
+// models that decomposition (DESIGN.md §13): the request stream is split by
+// (socket, channel block) into shards, every shard runs its own closed loop
+// against a shard-private MemoryController, and the per-shard results are
+// merged in a fixed shard order.
 //
-// One level below the channel (DESIGN.md §15), each shard optionally splits
-// into per-bank-group command queues (bank_groups_per_queue >= 1): every
-// block of bank groups owns its own CompletionWindow, so a request stalls
-// only behind its own queue's oldest in-flight miss while the shard's issue
-// cursor keeps the command stream in order. This models the bank-level
-// parallelism real controller front-ends schedule around, instead of
-// serializing every bank of the shard through one window.
+// There is one serve path, RunShardedFused: each decoded command feeds its
+// shard's closed loop the moment it is produced, with nothing staged in
+// between. RunShardedClosedLoop is the adapter for a materialized trace.
+// Multi-core scaling comes from the caller's trial grid (RunWorkloadGrid),
+// never from inside one stream.
+//
+// One level below the channel (DESIGN.md §15), each shard splits into
+// per-bank-group command queues: every block of bank_groups_per_queue bank
+// groups owns its own CompletionWindow, so a request stalls only behind its
+// own queue's oldest in-flight miss while the shard's issue cursor keeps the
+// command stream in order.
 //
 // Determinism contract (DESIGN.md §8/§13): the shard decomposition is a
-// property of the *model configuration* (channels_per_shard), never of the
-// worker count. Shards share no mutable state while serving, and the merge —
-// stats absorption, elapsed fold, telemetry — walks shards in ascending
-// shard index on the coordinating thread. Results are therefore bit-identical
-// for every `threads` value, including 1.
+// property of the *model configuration* (channels_per_shard,
+// bank_groups_per_queue), and the merge — stats absorption, elapsed fold,
+// telemetry — walks shards in ascending shard index.
 //
 // Relation to the serial engine: per-bank command subsequences are identical
 // under partition, so row hits/misses, ACT/PRE censuses, and read/write
@@ -32,7 +33,7 @@
 // tests/sharded_differential_test.cc pins this). Completion *times* differ
 // by design — per-channel queues against a global window — which is why both
 // engines stay in-tree: serial is the reference semantics, sharded the
-// scalable one.
+// realistic controller shape.
 #ifndef SILOZ_SRC_MEMCTL_SHARDED_ENGINE_H_
 #define SILOZ_SRC_MEMCTL_SHARDED_ENGINE_H_
 
@@ -40,15 +41,20 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
-#include "src/base/fault_injector.h"
 #include "src/base/result.h"
 #include "src/memctl/engine.h"
 
 namespace siloz {
+
+// The model-shape defaults, shared by every entry point (RunnerConfig,
+// ShardedEngineConfig, the bench flags): one command queue shard per
+// channel, split into one queue per bank group — the realistic controller
+// front-end.
+inline constexpr uint32_t kDefaultChannelsPerShard = 1;
+inline constexpr uint32_t kDefaultBankGroupsPerQueue = 1;
 
 struct ShardedEngineConfig {
   // Per-shard closed-loop parameters: each shard (channel command queue)
@@ -56,19 +62,17 @@ struct ShardedEngineConfig {
   EngineConfig engine;
   // Channels folded into one shard (clamped to [1, channels_per_socket]).
   // Part of the model configuration: results depend on this knob.
-  uint32_t channels_per_shard = 1;
+  uint32_t channels_per_shard = kDefaultChannelsPerShard;
   // Sub-channel decomposition of each shard into per-bank-group command
-  // queues (DESIGN.md §15). 0 = legacy: one CompletionWindow for the whole
-  // shard, every bank serialized through it. N >= 1 = each block of N bank
-  // groups (kBanksPerGroup banks apiece) owns an independent queue with its
-  // own completion window; the queues share the shard's issue cursor, so
-  // bank-level parallelism is exploited instead of bottlenecked on the
-  // globally-oldest in-flight request. Part of the model configuration:
-  // completion times depend on this knob — the per-bank command
-  // subsequences, and hence every invariant census, do not.
-  uint32_t bank_groups_per_queue = 0;
-  // Workers for the shard serve loop (ThreadPool semantics; 1 = inline).
-  // NOT part of the model: results are bit-identical for every value.
+  // queues (DESIGN.md §15), >= 1: each block of N bank groups
+  // (kBanksPerGroup banks apiece) owns an independent queue with its own
+  // completion window; the queues share the shard's issue cursor. A value
+  // covering the whole shard gives one window per shard. Part of the model
+  // configuration: completion times depend on this knob — the per-bank
+  // command subsequences, and hence every invariant census, do not.
+  uint32_t bank_groups_per_queue = kDefaultBankGroupsPerQueue;
+  // Set only by the benchmark harness, which records it; the engine serves
+  // on the calling thread and CHECK-fails on any value above 1.
   uint32_t threads = 1;
 };
 
@@ -115,15 +119,12 @@ class ShardPlan {
 };
 
 // Bank-group command queues one shard of `channels` channels decomposes
-// into: ceil(banks / (kBanksPerGroup * bank_groups_per_queue)), or 1 when
-// bank_groups_per_queue is 0 (legacy single-window shard). Shared by the
-// ShardServer construction, the merge telemetry, and the tests that pin the
-// regrouping algebra.
+// into: ceil(banks / (kBanksPerGroup * bank_groups_per_queue)). Shared by
+// the ShardServer construction, the merge telemetry, and the tests that pin
+// the regrouping algebra.
 inline uint32_t ShardQueueCount(const DramGeometry& geometry, uint32_t channels,
                                 uint32_t bank_groups_per_queue) {
-  if (bank_groups_per_queue == 0) {
-    return 1;
-  }
+  SILOZ_CHECK(bank_groups_per_queue > 0);
   const uint32_t banks = channels * geometry.banks_per_channel();
   const uint32_t banks_per_queue = kBanksPerGroup * bank_groups_per_queue;
   return (banks + banks_per_queue - 1) / banks_per_queue;
@@ -158,40 +159,28 @@ struct ShardedEngineResult {
 // One shard's closed loop as an incremental consumer: the serial engine's
 // window discipline (CompletionWindow, see engine.h) against a shard-private
 // controller, fed one pre-decoded command at a time in shard-stream order.
-// Both sharded serve paths — batched (RunOnBatches) and fused streaming
-// (RunShardedFused) — reduce each shard to exactly this sequence of
-// operations, so the two are bit-identical by construction.
 //
-// With bank_groups_per_queue >= 1 the shard splits into per-bank-group
-// command queues (BankGroupQueue = one CompletionWindow per block of
-// kBanksPerGroup * bank_groups_per_queue banks): each command stalls only on
-// the oldest in-flight request of *its own* queue, while the shard-wide
-// issue cursor keeps issues in stream order across queues. The queue routing
-// is a pure function of the command's bank index — SocketBankIndex is
-// channel-major, so a shard's banks form one contiguous index range and the
-// route is a single LUT read off a shard-local base. ServeDecoded is still
-// called once per command in the identical stream order, so every invariant
-// census (hits/misses, ACT/PRE, reads/writes) matches the single-window
-// shard and the serial engine exactly; only completion *times* change.
+// The shard splits into per-bank-group command queues (one CompletionWindow
+// per block of kBanksPerGroup * bank_groups_per_queue banks): each command
+// stalls only on the oldest in-flight request of *its own* queue, while the
+// shard-wide issue cursor keeps issues in stream order across queues. The
+// queue routing is a pure function of the command's bank index —
+// SocketBankIndex is channel-major, so a shard's banks form one contiguous
+// index range and the route is a single LUT read off a shard-local base.
+// ServeDecoded is still called once per command in the identical stream
+// order, so every invariant census (hits/misses, ACT/PRE, reads/writes)
+// matches the serial engine exactly; only completion *times* change.
 class ShardServer {
  public:
-  // Legacy shape: one completion window for the whole shard.
-  ShardServer(MemoryController& controller, const EngineConfig& config)
-      : controller_(&controller), config_(config), window_(config.max_outstanding) {}
-
-  // Sub-channel shape: the shard covers `channels` channels starting at
-  // `first_channel`; its banks split into ShardQueueCount() bank-group
-  // queues. bank_groups_per_queue == 0 — or a grouping coarse enough that
-  // the whole shard is one queue — degrades to the legacy shape, keeping
-  // the single-window Feed path free of the queue indirection (the inline
-  // window, not a one-element vector, is what the fused serve loop's
-  // per-command cost budget is built on).
+  // The shard covers `channels` channels starting at `first_channel`; its
+  // banks split into ShardQueueCount() bank-group queues. A grouping coarse
+  // enough that the whole shard is one queue keeps the single-window Feed
+  // path free of the queue indirection (the inline window, not a
+  // one-element vector, is what the serve loop's per-command cost budget is
+  // built on).
   ShardServer(MemoryController& controller, const EngineConfig& config,
               uint32_t bank_groups_per_queue, uint32_t first_channel, uint32_t channels)
       : controller_(&controller), config_(config), window_(config.max_outstanding) {
-    if (bank_groups_per_queue == 0) {
-      return;
-    }
     const DramGeometry& geometry = controller.geometry();
     const uint32_t queues = ShardQueueCount(geometry, channels, bank_groups_per_queue);
     if (queues <= 1) {
@@ -211,13 +200,13 @@ class ShardServer {
     }
     // Raw bases for the per-command route: Feed runs once per request, and
     // re-deriving data pointers through the vector headers each time costs
-    // measurable ns/op on the fused loop.
+    // measurable ns/op on the serve loop.
     queue_base_ = queue_windows_.data();
     route_base_ = queue_of_bank_.data();
     multi_queue_ = true;
   }
 
-  // Forced inline: Feed is the per-command body of the fused streaming loop
+  // Forced inline: Feed is the per-command body of the serve loop
   // (once per request on the Fig 4 grid), and left to its own devices the
   // linker folds the out-of-line copy with unrelated identical code, hiding
   // a call per command inside the hot loop.
@@ -259,9 +248,8 @@ class ShardServer {
  private:
   MemoryController* controller_;
   EngineConfig config_;
-  // In-flight completion times for the single-queue shapes (legacy, and any
-  // grouping coarse enough to cover the shard): an inline member, so the
-  // dominant Feed path pays no vector indirection.
+  // In-flight completion times when one queue covers the whole shard: an
+  // inline member, so that Feed path pays no vector indirection.
   engine_internal::CompletionWindow window_;
   // Multi-queue shape only: one window per bank-group queue.
   std::vector<engine_internal::CompletionWindow> queue_windows_;
@@ -278,71 +266,15 @@ class ShardServer {
   uint64_t requests_ = 0;
 };
 
-// Shard-partitioned decode of one request stream, staged as a structure of
-// arrays: every shard's commands live in ONE flat shard-major allocation
-// instead of a vector-of-vectors, so the partition pass never reallocates
-// geometrically and the serve loop walks each shard's span contiguously.
-// Two producers:
-//  - BuildFromTrace: two passes over a materialized trace — a routing pass
-//    (shard id per request + per-shard counts), a prefix sum, then one
-//    decode pass that scatters each command straight into its final slot
-//    with the (shared) geometry hoisted out of the per-request path. This
-//    amortizes the platform-decoder arithmetic across the whole batch.
-//  - Stage + Seal: stream-order staging for pull-based producers; Seal runs
-//    the same counting scatter over the staged arrays.
-// Either way the per-shard subsequences are in stream order, identical to
-// what the old per-shard push_back partition produced.
-class DecodeBatch {
- public:
-  explicit DecodeBatch(uint32_t shard_count) : offsets_(shard_count + 1, 0) {}
-
-  void BuildFromTrace(const ShardPlan& plan, std::span<const MemRequest> requests,
-                      std::span<MemoryController* const> controllers);
-
-  void Reserve(uint64_t count) {
-    staged_.reserve(count);
-    staged_shard_.reserve(count);
-  }
-  void Stage(uint32_t shard, const DecodedCmd& cmd) {
-    staged_shard_.push_back(static_cast<uint16_t>(shard));
-    staged_.push_back(cmd);
-  }
-  void Seal();
-
-  uint32_t shard_count() const { return static_cast<uint32_t>(offsets_.size()) - 1; }
-  uint64_t size() const { return cmds_.size(); }
-  std::span<const DecodedCmd> Shard(uint32_t shard) const {
-    return {cmds_.data() + offsets_[shard], offsets_[shard + 1] - offsets_[shard]};
-  }
-
- private:
-  std::vector<DecodedCmd> cmds_;    // shard-major after BuildFromTrace/Seal
-  std::vector<uint32_t> offsets_;   // shard -> [start, end) into cmds_
-  std::vector<DecodedCmd> staged_;  // stream order, until Seal()
-  std::vector<uint16_t> staged_shard_;
-};
-
 namespace sharded_internal {
 
-// Serves the pre-partitioned batch: one shard-private controller + closed
-// loop per shard span on a pool of config.threads workers, then the
-// fixed-order merge (AbsorbShard into controllers[socket], elapsed/requests
-// fold, telemetry). Fails without touching `controllers` if the dispatch
-// fault point fires; fails after a full merge if the conservation check —
-// sum of per-shard requests == `expected_requests` — does not hold.
-Result<ShardedEngineResult> RunOnBatches(const ShardPlan& plan, const DecodeBatch& batch,
-                                         uint64_t expected_requests,
-                                         std::span<MemoryController* const> controllers,
-                                         const ShardedEngineConfig& config);
-
-// The fixed-order merge shared by every sharded serve path: walks shards in
-// ascending index (socket-major, then channel block) on the calling thread,
-// absorbing each shard controller into controllers[socket], folding elapsed
-// (max) and requests (sum), recording telemetry, and staging + folding the
-// per-shard model-domain census into the global metrics registry. Ends with
-// the conservation check (sum of per-shard requests == expected_requests);
-// a violation is an integrity error, not a CHECK — the fault-injection
-// battery drives that path deliberately.
+// The fixed-order merge at the end of every sharded run: walks shards in
+// ascending index (socket-major, then channel block), absorbing each shard
+// controller into controllers[socket], folding elapsed (max) and requests
+// (sum), recording telemetry, and staging + folding the per-shard
+// model-domain census into the global metrics registry. Ends with the
+// conservation check (sum of per-shard requests == expected_requests); a
+// violation is an integrity error, not a CHECK.
 Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
                                         std::span<std::optional<MemoryController>> shard_controllers,
                                         std::span<const EngineResult> shard_results,
@@ -352,84 +284,22 @@ Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
 
 }  // namespace sharded_internal
 
-// Forward declaration: RunShardedClosedLoopOver delegates its single-worker
-// case to the fused path (defined below).
-template <typename ForEachCmd>
-Result<ShardedEngineResult> RunShardedFused(uint64_t expected_requests, ForEachCmd&& for_each,
-                                            std::span<MemoryController* const> controllers,
-                                            const ShardedEngineConfig& config);
-
-// Serves `count` requests pulled one at a time from `next` (semantics as in
-// RunClosedLoopOver). With one worker (config.threads <= 1) the batch
-// materialization buys nothing — each request decodes and feeds its shard's
-// closed loop directly via the fused path, which is bit-identical by
-// construction. With more workers a serial DecodeBatch partition pass stages
-// the stream, then the shards are served in parallel and merged in fixed
-// order. Controllers are indexed by socket and receive the shards'
-// statistics in shard order.
-template <typename NextRequest>
-Result<ShardedEngineResult> RunShardedClosedLoopOver(
-    uint64_t count, NextRequest&& next, std::span<MemoryController* const> controllers,
-    const ShardedEngineConfig& config) {
-  SILOZ_CHECK(!controllers.empty());
-  if (config.threads <= 1) {
-    return RunShardedFused(
-        count,
-        [&](auto&& emit) {
-          for (uint64_t i = 0; i < count; ++i) {
-            const MemRequest& request = next();
-            SILOZ_DCHECK(request.address.socket < controllers.size());
-            emit(controllers[request.address.socket]->DecodeCmd(request),
-                 request.address.socket);
-          }
-        },
-        controllers, config);
-  }
-  const ShardPlan plan(controllers[0]->geometry(), static_cast<uint32_t>(controllers.size()),
-                       config.channels_per_shard);
-  SILOZ_FAULT_POINT("alloc.shard.partition");
-  DecodeBatch batch(plan.shard_count());
-  batch.Reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const MemRequest& request = next();
-    SILOZ_DCHECK(request.address.socket < controllers.size());
-    batch.Stage(plan.ShardOf(request.address.socket, request.address.channel),
-                controllers[request.address.socket]->DecodeCmd(request));
-  }
-  batch.Seal();
-  return sharded_internal::RunOnBatches(plan, batch, count, controllers, config);
-}
-
-// Serves a materialized trace. One worker: fused decode-and-serve, no batch
-// materialization. More: DecodeBatch counting partition + parallel serve +
-// ordered merge. Bit-identical either way.
-Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> requests,
-                                                 std::span<MemoryController* const> controllers,
-                                                 const ShardedEngineConfig& config);
-
-// Fused decode-and-serve: `for_each` is invoked once with an emit callback
+// The sharded serve path: `for_each` is invoked once with an emit callback
 // `(const DecodedCmd&, uint32_t socket)` and must produce the stream's
 // commands in trace order (TraceStreamer::ForEachDecoded is the canonical
 // producer); each command feeds its shard's closed loop the moment it is
-// produced, with no per-shard batch materialization in between. Inherently
-// single-threaded — the producer is serial — so it is the fast path when
-// the caller parallelizes at a coarser level (e.g. the experiment runner's
-// trial loop) and config.threads is 1. Bit-identical to the batched paths:
-// each shard sees the same per-shard subsequence through the same
-// ShardServer arithmetic, and the merge is the same fixed-order fold.
+// produced, with no per-shard batch materialization in between. Serves on
+// the calling thread: the experiment runner parallelizes at the trial level.
 // `expected_requests` must equal the number of commands emitted (the
-// conservation check fails the run otherwise).
+// conservation check fails the run with kIntegrityViolation otherwise).
 template <typename ForEachCmd>
 Result<ShardedEngineResult> RunShardedFused(uint64_t expected_requests, ForEachCmd&& for_each,
                                             std::span<MemoryController* const> controllers,
                                             const ShardedEngineConfig& config) {
   SILOZ_CHECK(!controllers.empty());
+  SILOZ_CHECK(config.threads <= 1);
   const ShardPlan plan(controllers[0]->geometry(), static_cast<uint32_t>(controllers.size()),
                        config.channels_per_shard);
-  // Both fault points of the batched pipeline fire up front: an injected
-  // failure must leave the absorb-target controllers untouched here too.
-  SILOZ_FAULT_POINT("alloc.shard.partition");
-  SILOZ_FAULT_POINT("alloc.shard.dispatch");
   std::vector<std::optional<MemoryController>> shard_controllers(plan.shard_count());
   std::vector<ShardServer> servers;
   servers.reserve(plan.shard_count());
@@ -451,6 +321,12 @@ Result<ShardedEngineResult> RunShardedFused(uint64_t expected_requests, ForEachC
   return sharded_internal::MergeShards(plan, shard_controllers, shard_results, controllers,
                                        expected_requests, config.bank_groups_per_queue);
 }
+
+// Serves a materialized trace: RunShardedFused over the span, decoding each
+// request through its socket's controller.
+Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> requests,
+                                                 std::span<MemoryController* const> controllers,
+                                                 const ShardedEngineConfig& config);
 
 }  // namespace siloz
 

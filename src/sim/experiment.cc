@@ -1,7 +1,6 @@
 #include "src/sim/experiment.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -50,10 +49,11 @@ struct ServeOutcome {
 // config.channels_per_shard (0 = serial reference, >= 1 = sharded;
 // DESIGN.md §13). `controllers` is the per-socket absorb-target set —
 // trial-private in timing mode, the machine's own in fault mode. When
-// `materialized` is non-null the trace is generated up front and returned
-// through it (fault mode consumes it a second time in ReplayDisturbance);
-// otherwise timing-only runs may stream generation straight into the serve
-// loop.
+// `materialized` is non-null (fault mode) the trace is generated up front
+// and returned through it, because ReplayDisturbance consumes it a second
+// time; otherwise (timing mode) generation streams straight into the serve
+// loop. TraceStreamer is the single generator, so both sources yield the
+// identical request sequence.
 Result<ServeOutcome> ServeTrial(const RunnerConfig& config, const WorkloadSpec& spec,
                                 const AddressDecoder& decoder, const Vm& vm,
                                 uint64_t trace_seed,
@@ -68,18 +68,15 @@ Result<ServeOutcome> ServeTrial(const RunnerConfig& config, const WorkloadSpec& 
     sharded.engine = engine;
     sharded.channels_per_shard = config.channels_per_shard;
     sharded.bank_groups_per_queue = config.bank_groups_per_queue;
-    // Trial-level parallelism already saturates the run's pool; nested shard
-    // workers would only oversubscribe. Thread counts never change results.
-    sharded.threads = 1;
     Result<ShardedEngineResult> result = [&]() -> Result<ShardedEngineResult> {
       if (materialized != nullptr) {
         *materialized =
             GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
         return RunShardedClosedLoop(*materialized, controllers, sharded);
       }
-      // Timing-only runs take the fused path: the streamer emits
-      // pre-resolved commands straight into the per-shard closed loops —
-      // no MemRequest materialization, no per-shard batch vectors.
+      // Timing-only runs stream: the streamer emits pre-resolved commands
+      // straight into the per-shard closed loops, no MemRequest
+      // materialization.
       TraceStreamer stream(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
       return RunShardedFused(
           stream.size(), [&stream](auto&& feed) { stream.ForEachDecoded(feed); },
@@ -96,27 +93,17 @@ Result<ServeOutcome> ServeTrial(const RunnerConfig& config, const WorkloadSpec& 
     return outcome;
   }
 
-  // Serial reference engine. A trace that fits in the last-level cache
-  // replays faster split into a tight generation loop plus a tight service
-  // loop; one that spills to DRAM is better fused, which skips the
-  // round-trip through memory entirely. Either path yields the identical
-  // request sequence (TraceStreamer is the single implementation), so this
-  // is purely a throughput heuristic.
-  constexpr uint64_t kFuseThresholdBytes = 24ull << 20;
+  // Serial reference engine, over the same two request sources.
   EngineResult served;
   if (materialized != nullptr) {
     *materialized =
         GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
     served = RunClosedLoop(*materialized, controllers, engine);
-  } else if (spec.accesses * sizeof(MemRequest) > kFuseThresholdBytes) {
+  } else {
     TraceStreamer stream(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
     served = RunClosedLoopOver(
         stream.size(), [&stream]() -> const MemRequest& { return stream.Next(); },
         controllers, engine);
-  } else {
-    const std::vector<MemRequest> trace =
-        GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
-    served = RunClosedLoop(trace, controllers, engine);
   }
   ServeOutcome outcome;
   outcome.elapsed_ns = served.elapsed_ns;
@@ -192,9 +179,7 @@ Result<TrialOutcome> RunFaultTrial(const RunnerConfig& config, const WorkloadSpe
 
   TrialOutcome outcome =
       FinishTrial(config, *served, *controllers[config.vm.socket], noise_rng);
-  // Trials run on pool workers, so the replay itself stays single-threaded
-  // here; the shard decomposition still matches the serve engine's.
-  ReplayDisturbance(machine, trace, config.channels_per_shard, /*threads=*/1);
+  ReplayDisturbance(machine, trace);
   for (const PhysFlip& flip : machine.DrainFlips()) {
     outcome.flip_phys.push_back(flip.phys);
   }
@@ -322,8 +307,7 @@ Status ApplyPlatform(RunnerConfig& config, std::string_view platform,
   return Status::Ok();
 }
 
-void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
-                       uint32_t channels_per_shard, uint32_t threads) {
+void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace) {
   const DramGeometry& geometry = machine.config().geometry;
   // Device clocks are monotonic and already advanced by boot-time writes.
   const uint64_t clock0 = machine.clock_ns();
@@ -331,59 +315,17 @@ void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
   const uint32_t banks_per_socket = geometry.banks_per_socket();
 
   // Open-row tracker, flat over every bank in the machine (-1 = closed).
-  // Shards touch channel-disjoint index ranges (SocketBankIndex is
-  // channel-major), so one vector serves both the serial and sharded paths.
   std::vector<int64_t> open_rows(geometry.total_banks(), -1);
-
-  // Timestamps come from the request's *global trace index*, not from an
-  // accumulated clock, so a shard replaying its subsequence computes the
-  // same per-ACT times the serial replay would — the property that makes
-  // the two paths flip-identical. The machine clock itself is not advanced.
-  auto replay_one = [&](uint64_t index) {
+  for (uint64_t index = 0; index < trace.size(); ++index) {
     const MediaAddress& media = trace[index].address;
     int64_t& open_row =
         open_rows[media.socket * banks_per_socket + SocketBankIndex(geometry, media)];
     if (open_row == static_cast<int64_t>(media.row)) {
-      return;  // row hit: buffer reuse, no device ACT
+      continue;  // row hit: buffer reuse, no device ACT
     }
     open_row = media.row;
     machine.device(media.socket, media.channel, media.dimm)
         .Activate(media.rank, media.bank, media.row, clock0 + index * act_cost);
-  };
-
-  if (channels_per_shard == 0) {
-    for (uint64_t index = 0; index < trace.size(); ++index) {
-      replay_one(index);
-    }
-    return;
-  }
-
-  // Sharded replay: partition trace indices by (socket, channel block), then
-  // replay each shard's subsequence in trace order. Devices and open-row
-  // entries are channel-disjoint across shards, so shard replays commute —
-  // concurrent workers produce the flips the serial replay would.
-  const ShardPlan plan(geometry, geometry.sockets, channels_per_shard);
-  SILOZ_CHECK(trace.size() <= std::numeric_limits<uint32_t>::max());
-  std::vector<std::vector<uint32_t>> shard_indices(plan.shard_count());
-  for (auto& indices : shard_indices) {
-    indices.reserve(trace.size() / plan.shard_count() + 16);
-  }
-  for (uint32_t index = 0; index < trace.size(); ++index) {
-    const MediaAddress& media = trace[index].address;
-    shard_indices[plan.ShardOf(media.socket, media.channel)].push_back(index);
-  }
-  auto replay_shard = [&](uint64_t shard) {
-    for (uint32_t index : shard_indices[shard]) {
-      replay_one(index);
-    }
-  };
-  if (threads <= 1) {
-    for (uint32_t shard = 0; shard < plan.shard_count(); ++shard) {
-      replay_shard(shard);
-    }
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, plan.shard_count(), replay_shard);
   }
 }
 

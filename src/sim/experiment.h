@@ -25,6 +25,7 @@
 
 #include "src/base/result.h"
 #include "src/base/stats.h"
+#include "src/memctl/sharded_engine.h"
 #include "src/sim/machine.h"
 #include "src/sim/report.h"
 #include "src/siloz/hypervisor.h"
@@ -49,18 +50,17 @@ struct RunnerConfig {
   // Channel sharding of the engine (DESIGN.md §13). 0 = serial reference
   // engine: every channel coupled through one global MLP window. N >= 1 =
   // sharded engine: each block of N channels is an independent command queue
-  // with its own MLP window, and — in fault mode — its own device replay
-  // shard. Part of the *model* configuration: reported times depend on this
-  // knob, but never on `threads` (the sharded decomposition is fixed by the
-  // geometry, not by the worker count).
-  uint32_t channels_per_shard = 1;
+  // with its own MLP window. Part of the *model* configuration: reported
+  // times depend on this knob, but never on `threads` (the sharded
+  // decomposition is fixed by the geometry, not by the worker count).
+  uint32_t channels_per_shard = kDefaultChannelsPerShard;
   // Sub-channel decomposition of each shard into per-bank-group command
-  // queues (sharded engine only; DESIGN.md §15). 0 = one completion window
-  // per shard (the PR7 shape). N >= 1 = each block of N bank groups owns an
-  // independent command queue and window under the shard's issue cursor.
-  // Like channels_per_shard this is *model* configuration: completion times
-  // depend on it, invariant censuses and thread counts never do.
-  uint32_t bank_groups_per_queue = 0;
+  // queues (sharded engine only; DESIGN.md §15), >= 1: each block of N bank
+  // groups owns an independent command queue and window under the shard's
+  // issue cursor. Like channels_per_shard this is *model* configuration:
+  // completion times depend on it, invariant censuses and thread counts
+  // never do.
+  uint32_t bank_groups_per_queue = kDefaultBankGroupsPerQueue;
   // Run-to-run system jitter applied multiplicatively to elapsed time
   // (scheduler/interrupt noise a real host exhibits); deterministic in seed.
   double os_noise_frac = 0.0015;
@@ -120,18 +120,12 @@ Status ApplyPlatform(RunnerConfig& config, std::string_view platform,
 Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpec& spec);
 
 // Replays a request trace's activation stream into a fault-tracking
-// machine's disturbance model: a per-bank open-row tracker mirrors the
-// controller's open-page policy, so each row *miss* becomes one device ACT
-// (row hits reuse the buffer and disturb nothing). ACT timestamps derive
-// from the request's global trace index (machine clock + index * act_cost),
-// so a channel shard can compute its own timestamps without global
-// coordination — which is what makes the sharded replay (channels_per_shard
-// >= 1, shards served on `threads` workers over channel-disjoint devices)
-// flip-identical to the serial one (channels_per_shard == 0) by
-// construction. Deterministic in the trace alone; the machine clock itself
-// is not advanced.
-void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
-                       uint32_t channels_per_shard = 0, uint32_t threads = 1);
+// machine's disturbance model in trace order: a per-bank open-row tracker
+// mirrors the controller's open-page policy, so each row *miss* becomes one
+// device ACT (row hits reuse the buffer and disturb nothing), stamped at
+// machine clock + trace index * act_cost. Deterministic in the trace alone;
+// the machine clock itself is not advanced.
+void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace);
 
 // One point of a sweep grid: a full runner configuration plus a workload.
 struct GridPoint {

@@ -41,7 +41,8 @@ EngineConfig TestEngineConfig() {
 std::unique_ptr<MemoryController> ServeChannelShard(const DramGeometry& geometry,
                                                     uint32_t channel, uint64_t seed,
                                                     uint64_t count = 20000,
-                                                    uint32_t bank_groups_per_queue = 0) {
+                                                    uint32_t bank_groups_per_queue =
+                                                        kDefaultBankGroupsPerQueue) {
   const SkylakeDecoder decoder(geometry);
   auto controller = std::make_unique<MemoryController>(geometry, 0);
   ShardServer server(*controller, TestEngineConfig(), bank_groups_per_queue, channel,
@@ -178,11 +179,9 @@ TEST(ShardMergePropertyTest, ChannelShardsHaveDisjointBankGroupCensuses) {
 }
 
 TEST(ShardMergePropertyTest, ShardQueueCountAlgebra) {
-  // DESIGN.md §15: queues = ceil(banks / (kBanksPerGroup * bgpq)), with
-  // bgpq == 0 reserved for the legacy single-window shape.
+  // DESIGN.md §15: queues = ceil(banks / (kBanksPerGroup * bgpq)), bgpq >= 1.
   const DramGeometry geometry;  // 32 banks per channel by default
-  EXPECT_EQ(ShardQueueCount(geometry, 1, 0), 1u);
-  EXPECT_EQ(ShardQueueCount(geometry, geometry.channels_per_socket, 0), 1u);
+  EXPECT_DEATH(ShardQueueCount(geometry, 1, 0), "bank_groups_per_queue > 0");
   EXPECT_EQ(ShardQueueCount(geometry, 1, 1), geometry.banks_per_channel() / kBanksPerGroup);
   for (uint32_t channels : {1u, 2u, 3u, 6u}) {
     for (uint32_t bgpq : {1u, 2u, 4u, 8u}) {
@@ -207,7 +206,7 @@ TEST(ShardMergePropertyTest, BankGroupQueueRegroupingPreservesInvariantCounts) {
   // exactly what the regrouping is allowed to move.
   const DramGeometry geometry;
   std::vector<ControllerStats> stats;
-  for (const uint32_t bgpq : {0u, 1u, 2u, 4u}) {
+  for (const uint32_t bgpq : {1u, 2u, 4u, 8u}) {
     stats.push_back(ServeChannelShard(geometry, 1, 77, 20000, bgpq)->stats());
   }
   for (size_t i = 1; i < stats.size(); ++i) {
@@ -221,16 +220,42 @@ TEST(ShardMergePropertyTest, BankGroupQueueRegroupingPreservesInvariantCounts) {
   }
 }
 
-TEST(ShardMergePropertyTest, SingleQueueShardBitIdenticalToLegacyWindow) {
-  // When bank_groups_per_queue covers the whole shard, the split is one
-  // queue — structurally the legacy single window — so even the timing
-  // fields must match bit-for-bit.
+TEST(ShardMergePropertyTest, SingleQueueShardBitIdenticalToSerialEngine) {
+  // A one-channel stream served through one whole-shard queue is the serial
+  // engine's closed loop over the same commands — one completion window,
+  // one issue cursor — so even the timing fields must match RunClosedLoop
+  // bit for bit.
   const DramGeometry geometry;
-  const uint32_t whole_shard = geometry.banks_per_channel() / kBanksPerGroup;
-  auto legacy = ServeChannelShard(geometry, 0, 5, 20000, 0);
-  auto one_queue = ServeChannelShard(geometry, 0, 5, 20000, whole_shard);
-  EXPECT_TRUE(StatsBitIdentical(legacy->stats(), one_queue->stats()))
-      << "whole-shard queue diverged from the legacy window";
+  const SkylakeDecoder decoder(geometry);
+  Rng rng(0x51A6);
+  const uint64_t lines = geometry.total_bytes() / kCacheLineBytes;
+  std::vector<MemRequest> stream;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    MemRequest request;
+    request.address = *decoder.PhysToMedia(rng.NextBelow(lines) * kCacheLineBytes);
+    request.address.socket = 0;
+    request.address.channel = 0;
+    request.is_write = rng.NextBernoulli(0.25);
+    request.source_socket = 0;
+    stream.push_back(request);
+  }
+  MemoryController serial(geometry, 0);
+  MemoryController* serial_ptr = &serial;
+  const EngineResult reference = RunClosedLoop(stream, {&serial_ptr, 1}, TestEngineConfig());
+
+  MemoryController sharded(geometry, 0);
+  MemoryController* sharded_ptr = &sharded;
+  ShardedEngineConfig config;
+  config.engine = TestEngineConfig();
+  config.channels_per_shard = 1;
+  config.bank_groups_per_queue = geometry.banks_per_channel() / kBanksPerGroup;
+  Result<ShardedEngineResult> result = RunShardedClosedLoop(stream, {&sharded_ptr, 1}, config);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->shards[0].queues, 1u);
+  EXPECT_EQ(result->elapsed_ns, reference.elapsed_ns);
+  EXPECT_EQ(result->requests, reference.requests);
+  EXPECT_TRUE(StatsBitIdentical(serial.stats(), sharded.stats()))
+      << "whole-shard queue diverged from the serial engine";
 }
 
 TEST(ShardMergePropertyTest, ResultFoldIsElapsedMaxRequestsSum) {

@@ -1,15 +1,18 @@
-// Concurrency and fault-injection stress for the sharded engine.
+// Concurrency and conservation stress for the sharded engine.
 //
-// The concurrency leg drives the batched sharded path with a real 8-worker
-// pool over a large multi-socket stream — the TSan CI job runs this binary
-// to prove the shard serve loop is race-free — and asserts bit-identity
-// against the single-worker run (worker count must never be observable).
+// The concurrency leg runs a figure-shaped grid through RunWorkloadGrid —
+// every (point, trial) pair a pool task, each serving its trace through the
+// sharded engine at channels_per_shard = 1, bank_groups_per_queue = 1 —
+// with a real 8-worker pool, and asserts bit-identity against the
+// single-worker run, model-domain metrics census included (worker count
+// must never be observable). The TSan CI job runs this binary: it is the
+// race detector's main course for trials sharing a booted platform while
+// each serves its own shard controllers.
 //
-// The fault-injection leg arms each of the sharded dispatch fault points
-// (alloc.shard.partition, alloc.shard.dispatch) and proves the error
-// propagates out of the engine while the absorb-target controllers stay
-// untouched; a clean rerun on the same controllers then passes with the
-// conservation checker (served == expected) intact.
+// The conservation leg drives the sharded engine's served == expected check
+// directly: a producer that emits one command more or fewer than announced
+// must fail the run with kIntegrityViolation, never return a result; and a
+// config asking the engine for worker threads must fail its CHECK.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,29 +21,99 @@
 #include <vector>
 
 #include "src/addr/decoder.h"
-#include "src/base/fault_injector.h"
 #include "src/base/rng.h"
 #include "src/memctl/sharded_engine.h"
+#include "src/obs/metrics.h"
+#include "src/sim/experiment.h"
 
 namespace siloz {
 namespace {
 
-std::vector<MemRequest> BigStream(const DramGeometry& geometry, uint64_t seed,
-                                  uint64_t count) {
-  const SkylakeDecoder decoder(geometry);
-  Rng rng(seed);
-  const uint64_t lines = geometry.total_bytes() / kCacheLineBytes;
-  std::vector<MemRequest> stream;
-  stream.reserve(count);
-  uint64_t line = rng.NextBelow(lines);
-  for (uint64_t i = 0; i < count; ++i) {
-    line = rng.NextBernoulli(0.6) ? (line + 1) % lines : rng.NextBelow(lines);
-    MemRequest request;
-    request.address = *decoder.PhysToMedia(line * kCacheLineBytes);
-    request.is_write = rng.NextBernoulli(0.3);
-    stream.push_back(request);
+// Baseline and Siloz points over two workloads, three trials each: twelve
+// trial tasks, enough for eight workers to genuinely overlap.
+std::vector<GridPoint> StressGrid(uint64_t accesses) {
+  std::vector<GridPoint> points;
+  for (const char* name : {"redis-a", "mlc-stream"}) {
+    for (const bool siloz_enabled : {false, true}) {
+      GridPoint point;
+      point.config.trials = 3;
+      point.config.seed = 0x57E55;
+      point.config.vm.memory_bytes = 3ull << 30;
+      point.config.channels_per_shard = 1;  // max shards per trial
+      point.config.bank_groups_per_queue = 1;
+      point.config.hypervisor.enabled = siloz_enabled;
+      point.workload = *FindWorkload(name);
+      point.workload.accesses = accesses;
+      points.push_back(point);
+    }
   }
-  return stream;
+  return points;
+}
+
+struct GridRun {
+  std::vector<RunMeasurement> measurements;
+  std::string model_census;
+};
+
+GridRun RunGrid(const std::vector<GridPoint>& points, uint32_t threads) {
+  obs::Registry::Global().Reset();
+  Result<std::vector<RunMeasurement>> grid = RunWorkloadGrid(points, threads);
+  EXPECT_TRUE(grid.ok()) << grid.error().ToString();
+  GridRun run;
+  if (grid.ok()) {
+    run.measurements = std::move(*grid);
+  }
+  run.model_census = obs::Registry::Global().SectionJson(obs::Domain::kModel);
+  return run;
+}
+
+void ExpectSameGrid(const GridRun& a, const GridRun& b, const std::string& label) {
+  ASSERT_EQ(a.measurements.size(), b.measurements.size()) << label;
+  for (size_t i = 0; i < a.measurements.size(); ++i) {
+    const RunMeasurement& x = a.measurements[i];
+    const RunMeasurement& y = b.measurements[i];
+    EXPECT_EQ(x.elapsed_ns.mean(), y.elapsed_ns.mean()) << label << " point " << i;
+    EXPECT_EQ(x.elapsed_ns.stddev(), y.elapsed_ns.stddev()) << label << " point " << i;
+    EXPECT_EQ(x.bandwidth_gibs.mean(), y.bandwidth_gibs.mean()) << label << " point " << i;
+    EXPECT_EQ(x.row_hit_rate, y.row_hit_rate) << label << " point " << i;
+    EXPECT_EQ(x.shard_requests, y.shard_requests) << label << " point " << i;
+  }
+  // Byte-identical model-domain metrics, per-shard censuses included.
+  EXPECT_EQ(a.model_census, b.model_census) << label;
+}
+
+TEST(ShardedStressTest, EightWorkersBitIdenticalToOne) {
+  const std::vector<GridPoint> points = StressGrid(200000);
+  const GridRun one = RunGrid(points, 1);
+  const GridRun eight = RunGrid(points, 8);
+  ExpectSameGrid(one, eight, "8 vs 1 workers");
+
+  // Guard against vacuity: every trial went through the sharded engine,
+  // one slot per (socket, channel), every request accounted.
+  const DramGeometry geometry;
+  for (size_t i = 0; i < one.measurements.size(); ++i) {
+    const std::vector<uint64_t>& shards = one.measurements[i].shard_requests;
+    EXPECT_EQ(shards.size(), static_cast<size_t>(geometry.sockets) *
+                                 geometry.channels_per_socket)
+        << "point " << i;
+    uint64_t served = 0;
+    for (uint64_t requests : shards) {
+      served += requests;
+    }
+    EXPECT_EQ(served, uint64_t{points[i].config.trials} * points[i].workload.accesses)
+        << "point " << i;
+  }
+  EXPECT_NE(one.model_census.find("engine.shard0.requests"), std::string::npos);
+}
+
+TEST(ShardedStressTest, RepeatedParallelRunsAgree) {
+  // Same grid, several 8-worker runs: scheduling jitter across runs must
+  // never leak into results.
+  const std::vector<GridPoint> points = StressGrid(50000);
+  const GridRun reference = RunGrid(points, 8);
+  for (int run = 1; run < 3; ++run) {
+    ExpectSameGrid(reference, RunGrid(points, 8), "run " + std::to_string(run));
+  }
 }
 
 struct ControllerSet {
@@ -55,119 +128,26 @@ struct ControllerSet {
   }
 };
 
-ShardedEngineConfig StressConfig(uint32_t threads) {
+TEST(ShardedConservationTest, MiscountedStreamIsIntegrityViolation) {
+  const DramGeometry geometry;
+  const SkylakeDecoder decoder(geometry);
+  Rng rng(0xFA11);
+  const uint64_t lines = geometry.total_bytes() / kCacheLineBytes;
+  std::vector<MemRequest> stream;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    MemRequest request;
+    request.address = *decoder.PhysToMedia(rng.NextBelow(lines) * kCacheLineBytes);
+    request.is_write = rng.NextBernoulli(0.3);
+    stream.push_back(request);
+  }
   ShardedEngineConfig config;
   config.engine.max_outstanding = 10;
   config.engine.compute_ns_per_access = 2.0;
-  config.channels_per_shard = 1;  // max shards = max concurrency
-  config.threads = threads;
-  return config;
-}
 
-TEST(ShardedStressTest, EightWorkersBitIdenticalToOne) {
-  // Large enough that shards genuinely overlap in time on a multi-core
-  // host; under TSan this is the race detector's main course.
-  const DramGeometry geometry;
-  const std::vector<MemRequest> stream = BigStream(geometry, 0x57E55, 400000);
-
-  ControllerSet serial_workers(geometry);
-  Result<ShardedEngineResult> one =
-      RunShardedClosedLoop(stream, serial_workers.ptrs, StressConfig(1));
-  ASSERT_TRUE(one.ok());
-
-  ControllerSet parallel_workers(geometry);
-  Result<ShardedEngineResult> eight =
-      RunShardedClosedLoop(stream, parallel_workers.ptrs, StressConfig(8));
-  ASSERT_TRUE(eight.ok());
-
-  EXPECT_EQ(eight->elapsed_ns, one->elapsed_ns);
-  EXPECT_EQ(eight->requests, one->requests);
-  ASSERT_EQ(eight->shards.size(), one->shards.size());
-  for (size_t shard = 0; shard < eight->shards.size(); ++shard) {
-    EXPECT_EQ(eight->shards[shard].requests, one->shards[shard].requests) << shard;
-    EXPECT_EQ(eight->shards[shard].elapsed_ns, one->shards[shard].elapsed_ns) << shard;
-  }
-  for (size_t socket = 0; socket < serial_workers.ptrs.size(); ++socket) {
-    const ControllerStats& a = serial_workers.ptrs[socket]->stats();
-    const ControllerStats& b = parallel_workers.ptrs[socket]->stats();
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.row_hits, b.row_hits);
-    EXPECT_EQ(a.row_misses, b.row_misses);
-    EXPECT_EQ(a.busy_ns, b.busy_ns);
-    EXPECT_EQ(a.total_latency_ns, b.total_latency_ns);
-  }
-}
-
-TEST(ShardedStressTest, RepeatedParallelRunsAgree) {
-  // Same stream, several 8-worker runs: scheduling jitter across runs must
-  // never leak into results.
-  const DramGeometry geometry;
-  const std::vector<MemRequest> stream = BigStream(geometry, 0xA5A5, 150000);
-  double reference_elapsed = 0.0;
-  for (int run = 0; run < 3; ++run) {
+  auto run = [&](uint64_t expected_requests) {
     ControllerSet controllers(geometry);
-    Result<ShardedEngineResult> result =
-        RunShardedClosedLoop(stream, controllers.ptrs, StressConfig(8));
-    ASSERT_TRUE(result.ok());
-    if (run == 0) {
-      reference_elapsed = result->elapsed_ns;
-    } else {
-      EXPECT_EQ(result->elapsed_ns, reference_elapsed) << "run " << run;
-    }
-  }
-}
-
-class ShardedFaultTest : public ::testing::Test {
- protected:
-  void TearDown() override { FaultInjector::Global().Disarm(); }
-};
-
-TEST_F(ShardedFaultTest, DispatchFaultsPropagateAndLeaveTargetsUntouched) {
-  const DramGeometry geometry;
-  const std::vector<MemRequest> stream = BigStream(geometry, 0xFA11, 50000);
-
-  for (const std::string site : {"alloc.shard.partition", "alloc.shard.dispatch"}) {
-    ControllerSet controllers(geometry);
-    FaultInjector::Global().Arm(1, site);
-    Result<ShardedEngineResult> failed =
-        RunShardedClosedLoop(stream, controllers.ptrs, StressConfig(2));
-    FaultInjector::Global().Disarm();
-
-    ASSERT_FALSE(failed.ok()) << site << " fault did not propagate";
-    // The absorb targets must be untouched: no partial merge, no stats.
-    for (MemoryController* controller : controllers.ptrs) {
-      EXPECT_EQ(controller->stats().requests, 0u) << site;
-      EXPECT_EQ(controller->stats().busy_ns, 0.0) << site;
-      for (const BankGroupCounts& group : controller->bank_group_counts()) {
-        EXPECT_EQ(group.act + group.pre + group.rd + group.wr + group.ref, 0u) << site;
-      }
-    }
-
-    // Clean rerun on the very same controllers: conservation holds, every
-    // request accounted exactly once.
-    Result<ShardedEngineResult> clean =
-        RunShardedClosedLoop(stream, controllers.ptrs, StressConfig(2));
-    ASSERT_TRUE(clean.ok()) << site;
-    EXPECT_EQ(clean->requests, stream.size()) << site;
-    uint64_t absorbed = 0;
-    for (MemoryController* controller : controllers.ptrs) {
-      absorbed += controller->stats().requests;
-    }
-    EXPECT_EQ(absorbed, stream.size()) << site;
-  }
-}
-
-TEST_F(ShardedFaultTest, FusedPathFaultsMatchBatchedSemantics) {
-  // The fused streaming path declares the same two fault points up front, so
-  // an injected failure leaves its targets untouched the same way.
-  const DramGeometry geometry;
-  const std::vector<MemRequest> stream = BigStream(geometry, 0xFA12, 20000);
-  ControllerSet controllers(geometry);
-  ShardedEngineConfig config = StressConfig(1);
-
-  auto run_fused = [&]() {
     return RunShardedFused(
-        stream.size(),
+        expected_requests,
         [&](auto&& emit) {
           for (const MemRequest& request : stream) {
             emit(controllers.ptrs[request.address.socket]->DecodeCmd(request),
@@ -177,17 +157,21 @@ TEST_F(ShardedFaultTest, FusedPathFaultsMatchBatchedSemantics) {
         controllers.ptrs, config);
   };
 
-  FaultInjector::Global().Arm(1, "alloc.shard.");
-  Result<ShardedEngineResult> failed = run_fused();
-  FaultInjector::Global().Disarm();
-  ASSERT_FALSE(failed.ok());
-  for (MemoryController* controller : controllers.ptrs) {
-    EXPECT_EQ(controller->stats().requests, 0u);
+  for (const uint64_t expected : {stream.size() - 1, stream.size() + 1}) {
+    Result<ShardedEngineResult> miscounted = run(expected);
+    ASSERT_FALSE(miscounted.ok()) << "expected " << expected;
+    EXPECT_EQ(miscounted.error().code, ErrorCode::kIntegrityViolation);
+    EXPECT_NE(miscounted.error().ToString().find("conservation"), std::string::npos)
+        << miscounted.error().ToString();
   }
+  Result<ShardedEngineResult> exact = run(stream.size());
+  ASSERT_TRUE(exact.ok()) << exact.error().ToString();
+  EXPECT_EQ(exact->requests, stream.size());
 
-  Result<ShardedEngineResult> clean = run_fused();
-  ASSERT_TRUE(clean.ok());
-  EXPECT_EQ(clean->requests, stream.size());
+  // The engine serves on the calling thread only; asking it for workers is
+  // a caller bug, not a slower path.
+  config.threads = 2;
+  EXPECT_DEATH(run(stream.size()), "threads <= 1");
 }
 
 }  // namespace

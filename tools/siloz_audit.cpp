@@ -3,8 +3,9 @@
 // Proves the four Siloz isolation invariants (decoder invertibility, domain
 // closure, guard fencing, blast-radius containment) for a machine
 // configuration without running any workload. Exit codes: 0 = all invariants
-// hold, 2 = findings, 1 = usage/boot error. CI runs this on the default
-// dual-socket Skylake platform and fails on any finding.
+// hold, 2 = findings or a malformed integer value, 1 = other usage/boot
+// errors. CI runs this on the default dual-socket Skylake platform and fails
+// on any finding.
 //
 // Usage:
 //   siloz_audit [--platform NAME] [--decoder skylake|snc2|linear] [--ddr5]
@@ -16,13 +17,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/addr/decoder.h"
 #include "src/addr/platform.h"
 #include "src/audit/auditor.h"
 #include "src/audit/corrupt_decoder.h"
+#include "src/base/parse.h"
 #include "src/base/units.h"
 #include "src/dram/remap.h"
 #include "src/ept/phys_memory.h"
@@ -42,15 +46,6 @@ bool HasFlag(int argc, char** argv, const char* flag) {
     }
   }
   return false;
-}
-
-uint64_t FlagValue(int argc, char** argv, const char* flag, uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 0);
-    }
-  }
-  return fallback;
 }
 
 const char* FlagString(int argc, char** argv, const char* flag, const char* fallback) {
@@ -93,6 +88,29 @@ int Usage() {
                "                                  values identical for every --threads)\n"
                "  --trace-out FILE                record + write a Chrome trace-event log\n");
   return 1;
+}
+
+// Parses `flag`'s value as an unsigned integer of type T in C syntax
+// (decimal, 0x hex, leading-0 octal; CI passes `--stride 0x100000`). A sign,
+// trailing characters or a value outside T print usage to stderr and exit 2
+// before anything reaches stdout.
+template <typename T>
+T FlagValue(int argc, char** argv, const char* flag, T fallback) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) {
+      continue;
+    }
+    const std::optional<uint64_t> value =
+        ParseUint(argv[i + 1], 0, std::numeric_limits<T>::max());
+    if (!value) {
+      std::fprintf(stderr, "siloz_audit: %s expects an unsigned integer, got '%s'\n", flag,
+                   argv[i + 1]);
+      Usage();
+      std::exit(2);
+    }
+    return static_cast<T>(*value);
+  }
+  return fallback;
 }
 
 // A CI gate must not silently ignore a typo'd flag and report PASS.
@@ -154,13 +172,13 @@ int main(int argc, char** argv) {
 
   SilozConfig config;
   config.rows_per_subarray =
-      static_cast<uint32_t>(FlagValue(argc, argv, "--subarray-rows", geometry.rows_per_subarray));
+      FlagValue<uint32_t>(argc, argv, "--subarray-rows", geometry.rows_per_subarray);
   config.host_groups_per_socket =
-      static_cast<uint32_t>(FlagValue(argc, argv, "--host-groups", config.host_groups_per_socket));
+      FlagValue<uint32_t>(argc, argv, "--host-groups", config.host_groups_per_socket);
   config.ept_block_row_groups =
-      static_cast<uint32_t>(FlagValue(argc, argv, "--ept-block", config.ept_block_row_groups));
+      FlagValue<uint32_t>(argc, argv, "--ept-block", config.ept_block_row_groups);
   config.ept_row_group_offset =
-      static_cast<uint32_t>(FlagValue(argc, argv, "--ept-offset", config.ept_row_group_offset));
+      FlagValue<uint32_t>(argc, argv, "--ept-offset", config.ept_row_group_offset);
   config.uniform_internal_addressing =
       ddr5 || (platform_info != nullptr && platform_info->uniform_internal_addressing);
   geometry.rows_per_subarray = config.rows_per_subarray;
@@ -247,14 +265,13 @@ int main(int argc, char** argv) {
   }
 
   audit::Options options;
-  options.silicon_rows_per_subarray =
-      static_cast<uint32_t>(FlagValue(argc, argv, "--silicon-rows", 0));
-  options.probe_stride = FlagValue(argc, argv, "--stride", options.probe_stride);
-  options.random_probes = FlagValue(argc, argv, "--random-probes", options.random_probes);
+  options.silicon_rows_per_subarray = FlagValue<uint32_t>(argc, argv, "--silicon-rows", 0);
+  options.probe_stride = FlagValue<uint64_t>(argc, argv, "--stride", options.probe_stride);
+  options.random_probes =
+      FlagValue<uint64_t>(argc, argv, "--random-probes", options.random_probes);
   options.exhaustive = HasFlag(argc, argv, "--exhaustive");
-  options.max_findings_per_invariant =
-      static_cast<size_t>(FlagValue(argc, argv, "--max-findings", 16));
-  options.threads = static_cast<uint32_t>(FlagValue(argc, argv, "--threads", 0));
+  options.max_findings_per_invariant = FlagValue<size_t>(argc, argv, "--max-findings", 16);
+  options.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
 
   // Optional negative mode: the machine's "real" mapping deviates from the
   // decoder the hypervisor boots with, so the audit should FAIL.
