@@ -10,9 +10,11 @@
 
 #include "bench/bench_util.h"
 #include "src/addr/subarray_group.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A3: how 1 GiB pages interact with subarray groups").Parse(argc, argv);
   using namespace siloz;
   const DramGeometry geometry;
   SkylakeDecoder decoder(geometry);

@@ -10,13 +10,15 @@
 
 #include "bench/bench_util.h"
 #include "src/addr/decoder.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/memctl/act_profile.h"
 #include "src/memctl/engine.h"
 #include "src/sim/experiment.h"
 #include "src/workload/workloads.h"
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A11: do workloads activate rows at Rowhammer-relevant rates?").Parse(argc, argv);
   using namespace siloz;
   const DramGeometry geometry;
   bench::PrintHeader("Ablation A11: per-row activation rates vs Rowhammer thresholds",

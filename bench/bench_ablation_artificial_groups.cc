@@ -13,6 +13,7 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 #include "src/siloz/hypervisor.h"
@@ -60,7 +61,8 @@ bool EdgeHammerEscapes(siloz::Machine& machine, siloz::SilozHypervisor& hypervis
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A7: artificial subarray groups and remap soundness").Parse(argc, argv);
   using namespace siloz;
   bench::PrintHeader("Ablation A7: artificial subarray groups and remap soundness (§6)",
                      DramGeometry{});

@@ -10,10 +10,12 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/base/flags.h"
 #include "src/sim/experiment.h"
 #include "src/workload/workloads.h"
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A1: value of bank-level parallelism").Parse(argc, argv);
   using namespace siloz;
   bench::PrintHeader("Ablation A1: value of bank-level parallelism (§4.1)", DramGeometry{});
   std::printf("Execution time normalized to the full skylake interleave.\n"

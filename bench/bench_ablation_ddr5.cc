@@ -12,11 +12,13 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 #include "src/siloz/hypervisor.h"
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A8: Siloz on DDR5-generation platforms").Parse(argc, argv);
   using namespace siloz;
   const DramGeometry ddr4;
   const DramGeometry ddr5 = Ddr5Geometry();

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/ept.h"
 #include "src/ept/phys_memory.h"
@@ -38,7 +39,8 @@ size_t TablePagesFor(uint64_t bytes, siloz::PageSize size) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A4: all EPTs fit in one row group per socket").Parse(argc, argv);
   using namespace siloz;
   const DramGeometry geometry;
   bench::PrintHeader("Ablation A4: EPT footprint fits one row group per socket (§5.4)",

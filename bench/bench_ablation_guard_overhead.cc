@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
 #include "src/siloz/hypervisor.h"
@@ -22,7 +23,8 @@ double Pct(uint64_t part, uint64_t whole) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A2: DRAM reserved by guard-row schemes").Parse(argc, argv);
   using namespace siloz;
   const DramGeometry geometry;
   bench::PrintHeader("Ablation A2: DRAM reserved for guard-row protection", geometry);

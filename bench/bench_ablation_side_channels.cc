@@ -10,6 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/drama.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
 #include "src/siloz/hypervisor.h"
@@ -43,7 +44,8 @@ PairResult ProbePages(MemoryController& controller, const AddressDecoder& decode
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A9: DRAM timing side channels under Siloz").Parse(argc, argv);
   const DramGeometry geometry;
   bench::PrintHeader("Ablation A9: DRAM timing side channels under Siloz (§8.4)", geometry);
 

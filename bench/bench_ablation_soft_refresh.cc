@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/base/flags.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 
@@ -44,7 +45,8 @@ void PrintRow(const char* label, const GapStats& stats) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A5: software EPT refresh misses deadlines").Parse(argc, argv);
   using namespace siloz;
   bench::PrintHeader("Ablation A5: software EPT refresh misses deadlines (§8.3)",
                      DramGeometry{});

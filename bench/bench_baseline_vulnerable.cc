@@ -15,6 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 #include "src/siloz/hypervisor.h"
@@ -35,7 +36,8 @@ siloz::MachineConfig FaultConfig() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Ablation A6: baseline Linux/KVM is vulnerable").Parse(argc, argv);
   using namespace siloz;
   bench::PrintHeader("Ablation A6: baseline Linux/KVM is vulnerable", DramGeometry{});
 

@@ -18,6 +18,7 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/defenses/copy_on_flip.h"
 #include "src/defenses/soft_trr.h"
@@ -79,7 +80,8 @@ constexpr uint32_t kRounds = 40000;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Defense comparison: same attack, four mitigations").Parse(argc, argv);
   bench::PrintHeader("Defense comparison (§3): same attack, four mitigations",
                      DramGeometry{});
   std::printf("%-12s | %-17s | %9s | %9s | %6s | %s\n", "defense", "protects", "DRAM cost",

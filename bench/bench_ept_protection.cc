@@ -10,6 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 #include "src/siloz/hypervisor.h"
@@ -60,7 +61,8 @@ uint64_t HammerAround(Machine& machine, const MediaAddress& base, uint32_t first
 }  // namespace
 }  // namespace siloz
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Section 7.1: EPT bit flip prevention by guard rows").Parse(argc, argv);
   using namespace siloz;
   MachineConfig machine_config = FaultConfig();
   Machine machine(machine_config);

@@ -9,19 +9,14 @@
 
 int main(int argc, char** argv) {
   using namespace siloz;
-  const uint32_t threads = bench::ThreadsFromArgs(argc, argv);  // 0 = auto-detect
-  const uint32_t channels_per_shard = bench::ChannelsPerShardFromArgs(argc, argv);
-  const uint32_t bank_groups_per_queue = bench::BankGroupsPerQueueFromArgs(argc, argv);
-  const std::string platform = bench::PlatformFromArgs(argc, argv);
-  bench::EnableObsFromArgs(argc, argv);
-  bench::PrintHeader("Figure 4: baseline-normalized execution time (Siloz vs Linux/KVM)",
-                     bench::PlatformHeaderGeometry(platform), platform);
+  const bench::FigureFlags flags =
+      bench::StartFigure(argc, argv,
+                         "Figure 4: baseline-normalized execution time (Siloz vs Linux/KVM)");
   std::printf("Workload models replay memory-access traces with each suite's\n"
               "locality/mix/MLP profile; 5 trials per point (see DESIGN.md).\n\n");
   const bool ok = bench::RunFigure(ExecutionTimeWorkloads(),
                                    {"baseline", bench::BaselineKernel()},
                                    {{"siloz", bench::SilozKernel()}}, 5, 42, "fig4_exec_time",
-                                   threads, channels_per_shard, platform,
-                                   bank_groups_per_queue);
-  return (bench::WriteObsFromArgs(argc, argv) && ok) ? 0 : 1;
+                                   flags.shape);
+  return (flags.obs.Write() && ok) ? 0 : 1;
 }

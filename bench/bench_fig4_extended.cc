@@ -9,23 +9,18 @@
 
 int main(int argc, char** argv) {
   using namespace siloz;
-  const uint32_t threads = bench::ThreadsFromArgs(argc, argv);  // 0 = auto-detect
-  const uint32_t channels_per_shard = bench::ChannelsPerShardFromArgs(argc, argv);
-  const uint32_t bank_groups_per_queue = bench::BankGroupsPerQueueFromArgs(argc, argv);
-  const std::string platform = bench::PlatformFromArgs(argc, argv);
-  bench::EnableObsFromArgs(argc, argv);
-  bench::PrintHeader("Figure 4 (extended): per-benchmark execution time, Siloz vs baseline",
-                     bench::PlatformHeaderGeometry(platform), platform);
+  const bench::FigureFlags flags =
+      bench::StartFigure(argc, argv,
+                         "Figure 4 (extended): per-benchmark execution time, Siloz vs baseline");
   std::printf("SPEC CPU 2017 subset:\n\n");
   std::vector<WorkloadSpec> spec = SpecCpuWorkloads();
   bool ok = bench::RunFigure(spec, {"baseline", bench::BaselineKernel()},
-                             {{"siloz", bench::SilozKernel()}}, 3, 42, "fig4ext_spec", threads,
-                             channels_per_shard, platform, bank_groups_per_queue);
+                             {{"siloz", bench::SilozKernel()}}, 3, 42, "fig4ext_spec", flags.shape);
   std::printf("PARSEC 3.0 subset:\n\n");
   std::vector<WorkloadSpec> parsec = ParsecWorkloads();
   ok = bench::RunFigure(parsec, {"baseline", bench::BaselineKernel()},
                         {{"siloz", bench::SilozKernel()}}, 3, 42, "fig4ext_parsec",
-                        threads, channels_per_shard, platform, bank_groups_per_queue) &&
+                        flags.shape) &&
        ok;
-  return (bench::WriteObsFromArgs(argc, argv) && ok) ? 0 : 1;
+  return (flags.obs.Write() && ok) ? 0 : 1;
 }

@@ -9,20 +9,15 @@
 
 int main(int argc, char** argv) {
   using namespace siloz;
-  const uint32_t threads = bench::ThreadsFromArgs(argc, argv);  // 0 = auto-detect
-  const uint32_t channels_per_shard = bench::ChannelsPerShardFromArgs(argc, argv);
-  const uint32_t bank_groups_per_queue = bench::BankGroupsPerQueueFromArgs(argc, argv);
-  const std::string platform = bench::PlatformFromArgs(argc, argv);
-  bench::EnableObsFromArgs(argc, argv);
-  bench::PrintHeader("Figure 6: Siloz-1024-normalized execution time, subarray size sweep",
-                     bench::PlatformHeaderGeometry(platform), platform);
+  const bench::FigureFlags flags =
+      bench::StartFigure(argc, argv,
+                         "Figure 6: Siloz-1024-normalized execution time, subarray size sweep");
   std::printf("Siloz-512 manages 2x the logical NUMA nodes of Siloz-1024;\n"
               "Siloz-2048 half. 5 trials per point.\n\n");
   const bool ok = bench::RunFigure(ExecutionTimeWorkloads(),
                                    {"siloz-1024", bench::SilozKernel(1024)},
                                    {{"siloz-512", bench::SilozKernel(512)},
                                     {"siloz-2048", bench::SilozKernel(2048)}},
-                                   5, 42, "fig6_size_time", threads,
-                                   channels_per_shard, platform, bank_groups_per_queue);
-  return (bench::WriteObsFromArgs(argc, argv) && ok) ? 0 : 1;
+                                   5, 42, "fig6_size_time", flags.shape);
+  return (flags.obs.Write() && ok) ? 0 : 1;
 }

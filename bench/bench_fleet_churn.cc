@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/base/flags.h"
 #include "src/sim/fleet.h"
 #include "src/sim/report.h"
 
@@ -17,7 +18,9 @@ int main(int argc, char** argv) {
   using namespace siloz;
 
   FleetConfig base;  // the default trace: ~4000 arrivals, ~2500 concurrent
-  base.threads = bench::ThreadsFromArgs(argc, argv);
+  FlagSet flags(argv[0], "Fleet churn: admission policies and defrag recovery");
+  DeclareThreads(flags, &base.threads);
+  flags.Parse(argc, argv);
 
   bench::PrintHeader("Fleet churn: admission policies and defrag recovery (§7)",
                      base.geometry);

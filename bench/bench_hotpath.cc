@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/addr/decoder.h"
+#include "src/base/flags.h"
 #include "src/dram/device.h"
 #include "src/dram/fault_model.h"
 #include "src/memctl/controller.h"
@@ -302,25 +302,17 @@ BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
 }  // namespace siloz
 
 int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--channels-per-shard" || arg == "--bank-groups-per-queue") {
-      ++i;  // the value is parsed (fail closed) below
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json] [--channels-per-shard N] [--bank-groups-per-queue N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
   // Model knobs of the sharded bench; the committed baseline is measured at
   // the shared model defaults (one shard per channel, one bank group per
   // queue).
-  const uint32_t channels_per_shard = siloz::bench::ChannelsPerShardFromArgs(argc, argv);
-  const uint32_t bank_groups_per_queue = siloz::bench::BankGroupsPerQueueFromArgs(argc, argv);
+  bool json = false;
+  uint32_t channels_per_shard = siloz::kDefaultChannelsPerShard;
+  uint32_t bank_groups_per_queue = siloz::kDefaultBankGroupsPerQueue;
+  siloz::FlagSet flags(argv[0], "Hot-path microbenchmarks with determinism checksums");
+  flags.Bool("--json", &json, "machine-readable report");
+  siloz::DeclareChannelsPerShard(flags, &channels_per_shard);
+  siloz::DeclareBankGroupsPerQueue(flags, &bank_groups_per_queue);
+  flags.Parse(argc, argv);
 
   const std::vector<siloz::BenchResult> results = {
       siloz::BenchDecodeRoundTrip(),

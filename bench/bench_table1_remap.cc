@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/base/flags.h"
 #include "src/dram/remap.h"
 
 namespace siloz {
@@ -37,7 +38,8 @@ std::string SourceOfBit(unsigned bit, uint32_t rank, HalfRowSide side) {
 }  // namespace
 }  // namespace siloz
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Table 1: DDR4 address mirroring and inversion").Parse(argc, argv);
   using namespace siloz;
   DramGeometry geometry;
   bench::PrintHeader(

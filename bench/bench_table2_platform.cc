@@ -5,11 +5,13 @@
 
 #include "bench/bench_util.h"
 #include "src/addr/subarray_group.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
 #include "src/siloz/hypervisor.h"
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Table 2: the evaluation platform configuration").Parse(argc, argv);
   using namespace siloz;
   const DramGeometry geometry;
   bench::PrintHeader("Table 2: baseline system configuration", geometry);

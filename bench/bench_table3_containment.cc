@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 #include "src/siloz/hypervisor.h"
@@ -47,7 +48,8 @@ std::vector<DimmProfile> TableThreeDimms() {
 }  // namespace
 }  // namespace siloz
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Table 3: Blacksmith flips contained to subarray groups").Parse(argc, argv);
   using namespace siloz;
   MachineConfig machine_config;
   machine_config.fault_tracking = true;

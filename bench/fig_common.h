@@ -10,6 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "src/addr/platform.h"
+#include "src/base/flags.h"
 #include "src/base/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/sim/experiment.h"
@@ -24,26 +25,45 @@ struct VariantSpec {
   SilozConfig config;
 };
 
-// Returns the header geometry for `platform` ("" or unknown = the Table 2
-// Skylake default; RunFigure rejects unknown names with a real error).
-inline DramGeometry PlatformHeaderGeometry(const std::string& platform) {
-  const PlatformInfo* info = platform.empty() ? nullptr : FindPlatform(platform);
-  return info != nullptr ? info->geometry : DramGeometry{};
-}
+// The model shape a figure bench runs at, parsed once from its flags. Only
+// `threads` leaves the stdout tables unchanged; the rest is model
+// configuration the tables legitimately depend on.
+struct ModelShape {
+  uint32_t threads = 0;  // 0 = auto-detect
+  std::string platform;  // "" = the Table 2 Skylake server
+  uint32_t channels_per_shard = kDefaultChannelsPerShard;
+  uint32_t bank_groups_per_queue = kDefaultBankGroupsPerQueue;
+};
 
-// Resolves the --threads flag for a figure run, exactly once. The resolved
-// value must be what RunFigure prints, labels telemetry with, AND passes to
-// RunWorkloadGrid — resolving independently at each layer let the banner and
-// the pool's actual worker_count() disagree whenever $SILOZ_THREADS changed
-// between the two reads (fig_threads_test.cc pins reported == actual).
-inline uint32_t FigureThreads(uint32_t flag) { return ResolveThreads(flag); }
+struct FigureFlags {
+  ModelShape shape;
+  ObsFlags obs;
+};
+
+// Parses a figure bench's flags (failing closed before anything reaches
+// stdout), starts the requested exports, and prints the figure's header.
+inline FigureFlags StartFigure(int argc, char** argv, const char* title) {
+  FigureFlags figure;
+  FlagSet flags(argv[0], title);
+  DeclareThreads(flags, &figure.shape.threads);
+  DeclareChannelsPerShard(flags, &figure.shape.channels_per_shard);
+  DeclareBankGroupsPerQueue(flags, &figure.shape.bank_groups_per_queue);
+  DeclarePlatform(flags, &figure.shape.platform);
+  figure.obs.Declare(flags);
+  flags.Parse(argc, argv);
+  figure.obs.Start();
+  const std::string& platform = figure.shape.platform;
+  PrintHeader(title, platform.empty() ? DramGeometry{} : FindPlatform(platform)->geometry,
+              platform);
+  return figure;
+}
 
 // Runs every workload under `baseline` and each variant; prints one
 // overhead table per variant (normalized to baseline) and geometric means.
 // With SILOZ_RESULTS_DIR set, also appends CSV rows per (variant, workload).
 // Returns false if any run failed.
 //
-// `platform` non-empty selects a registry platform (PlatformFromArgs):
+// `shape.platform` non-empty selects a registry platform:
 // every grid point gets the platform's geometry, decoder family, and
 // DDR-generation semantics, with each variant keeping its own subarray-size
 // choice — the channel/bank/DIMM topology the engine shards over is derived
@@ -51,19 +71,17 @@ inline uint32_t FigureThreads(uint32_t flag) { return ResolveThreads(flag); }
 //
 // The whole (variant x workload x trial) space runs flattened on one
 // work-stealing pool — every grid cell's trials are independent tasks, not a
-// nested serial loop (`threads` as in RunnerConfig::threads; 0 = auto).
+// nested serial loop (`shape.threads` as in RunnerConfig::threads).
 // Tables on stdout are byte-identical for every thread count; the grid's
 // scheduler/timing metrics go to stderr so diffs of the tables stay clean.
 inline bool RunFigure(const std::vector<WorkloadSpec>& workloads, const VariantSpec& baseline,
                       const std::vector<VariantSpec>& variants, uint32_t trials,
-                      uint64_t seed, const char* experiment, uint32_t threads,
-                      uint32_t channels_per_shard, const std::string& platform,
-                      uint32_t bank_groups_per_queue) {
+                      uint64_t seed, const char* experiment, const ModelShape& shape) {
   RunnerConfig runner;
   runner.trials = trials;
   runner.seed = seed;
-  runner.channels_per_shard = channels_per_shard;
-  runner.bank_groups_per_queue = bank_groups_per_queue;
+  runner.channels_per_shard = shape.channels_per_shard;
+  runner.bank_groups_per_queue = shape.bank_groups_per_queue;
 
   // The resolved worker count, up front on stderr: --threads 0 means
   // auto-detect ($SILOZ_THREADS, else the hardware concurrency), and the
@@ -71,12 +89,12 @@ inline bool RunFigure(const std::vector<WorkloadSpec>& workloads, const VariantS
   // stdout tables never do. Resolved ONCE here; the same value is forwarded
   // to RunWorkloadGrid below, so the banner can never disagree with the
   // pool's actual worker count.
-  const uint32_t resolved_threads = FigureThreads(threads);
+  const uint32_t resolved_threads = ResolveThreads(shape.threads);
   std::fprintf(stderr,
                "%s: %u worker threads (--threads %u%s), --channels-per-shard %u, "
                "--bank-groups-per-queue %u\n",
-               experiment, resolved_threads, threads,
-               threads == 0 ? " = auto" : "", channels_per_shard, bank_groups_per_queue);
+               experiment, resolved_threads, shape.threads, shape.threads == 0 ? " = auto" : "",
+               shape.channels_per_shard, shape.bank_groups_per_queue);
 
   // Grid of (variant, workload) points, baseline first, workload-major per
   // variant — the same order the serial loops used.
@@ -88,11 +106,11 @@ inline bool RunFigure(const std::vector<WorkloadSpec>& workloads, const VariantS
   std::vector<GridPoint> points;
   for (size_t v = 0; v < variants.size() + 1; ++v) {
     runner.hypervisor = (v == 0) ? baseline.config : variants[v - 1].config;
-    if (!platform.empty()) {
+    if (!shape.platform.empty()) {
       const Status applied =
-          ApplyPlatform(runner, platform, runner.hypervisor.rows_per_subarray);
+          ApplyPlatform(runner, shape.platform, runner.hypervisor.rows_per_subarray);
       if (!applied.ok()) {
-        std::fprintf(stderr, "--platform %s: %s\n", platform.c_str(),
+        std::fprintf(stderr, "--platform %s: %s\n", shape.platform.c_str(),
                      applied.error().ToString().c_str());
         return false;
       }
@@ -130,7 +148,7 @@ inline bool RunFigure(const std::vector<WorkloadSpec>& workloads, const VariantS
   // each channel shard, summed over the whole grid in shard-plan order, and
   // the host-side rate that shard sustained. Sched-domain facts, so stderr —
   // the stdout tables stay byte-identical across thread counts and hosts.
-  if (channels_per_shard >= 1) {
+  if (shape.channels_per_shard >= 1) {
     std::vector<uint64_t> shard_totals;
     for (const RunMeasurement& measurement : *grid) {
       if (measurement.shard_requests.empty()) {

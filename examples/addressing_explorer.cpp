@@ -5,12 +5,12 @@
 //
 // Run: ./build/examples/addressing_explorer [phys_address]
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "src/addr/decoder.h"
 #include "src/addr/subarray_group.h"
 #include "src/base/bitops.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/dram/remap.h"
 
@@ -23,14 +23,9 @@ int main(int argc, char** argv) {
   RowRemapper remapper(geometry, RemapConfig{});
 
   uint64_t phys = 5_GiB + 123 * kPage2M + 0x4bc0;  // an arbitrary default
-  if (argc > 1) {
-    phys = std::strtoull(argv[1], nullptr, 0);
-  }
-  if (phys >= geometry.total_bytes()) {
-    std::fprintf(stderr, "address beyond %lu GiB of DRAM\n",
-                 static_cast<unsigned long>(geometry.total_bytes() >> 30));
-    return 1;
-  }
+  FlagSet flags(argv[0], "Walk one physical address through every translation layer");
+  flags.Uint("phys-address", &phys, "physical address to decode", 0, geometry.total_bytes() - 1);
+  flags.Parse(argc, argv);
 
   std::printf("Platform: %s\n\n", geometry.ToString().c_str());
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 #include "src/siloz/hypervisor.h"
@@ -96,7 +97,8 @@ ScenarioResult RunScenario(bool siloz_enabled) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Multi-tenant Rowhammer attack, baseline vs Siloz").Parse(argc, argv);
   std::printf("Two tenants, same socket. 'attacker' runs a TRR-bypassing\n"
               "Rowhammer fuzzer against everything it can reach.\n\n");
 

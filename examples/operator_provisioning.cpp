@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/addr/decoder.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
 #include "src/siloz/hypervisor.h"
@@ -29,7 +30,8 @@ void PrintCapacity(const char* when, SilozHypervisor& hypervisor) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Operator view: a day of tenant churn on a Siloz host").Parse(argc, argv);
   DramGeometry geometry;
   SkylakeDecoder decoder(geometry);
   FlatPhysMemory memory;

@@ -7,13 +7,15 @@
 #include <cstdio>
 
 #include "src/addr/decoder.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
 #include "src/siloz/hypervisor.h"
 
 using namespace siloz;
 
-int main() {
+int main(int argc, char** argv) {
+  siloz::FlagSet(argv[0], "Quickstart: boot Siloz, create a VM, audit its isolation").Parse(argc, argv);
   // 1. The platform: the paper's evaluation server (Table 2) — dual-socket
   //    Skylake, 192 banks and 192 GiB per socket, 1024-row subarrays.
   DramGeometry geometry;

@@ -1,29 +1,17 @@
 // silozctl: command-line front end over the simulated platform — inspect
 // topology, run attack campaigns, compare kernels, and audit isolation.
 //
-// Usage:
-//   silozctl topology [--platform NAME] [--snc] [--ddr5] [--subarray-rows N]
-//   silozctl attack   [--baseline] [--patterns N] [--seed N]
-//   silozctl audit    [--flip-ept] [--stride BYTES] [--threads N] [--json]
-//   silozctl run      [workload] [--platform NAME] [--baseline] [--trials N]
-//                     [--threads N] [--faults]
-//   silozctl fleet    [--policy reject|queue|defrag] [--seed N] [--threads N]
-//                     [--duration S] [--rate R] [--burst A] [--epoch S]
-//                     [--timeout S] [--json]
-//   silozctl groupof  <phys-address> [--platform NAME]
-//
-// --platform selects a registered platform (skylake, cascadelake, zen,
-// ddr5): decoder family, geometry, and DDR-generation semantics together.
-// It replaces the legacy --snc/--ddr5 geometry toggles where both are given.
-//
-// Every command additionally accepts --metrics-out FILE and --trace-out FILE
+// Usage: silozctl <command> [flags]. `silozctl <command> --help` prints the
+// command's flags, generated from their declarations (src/base/flags.h).
+// Every command also takes --metrics-out FILE and --trace-out FILE
 // (observability exports; written after the command completes, never mixed
-// into stdout). --threads 0 (the default) auto-detects: $SILOZ_THREADS if
-// set, else the hardware concurrency.
+// into stdout). --platform selects a registered platform (skylake,
+// cascadelake, zen, ddr5): decoder family, geometry, and DDR-generation
+// semantics together; it replaces the legacy --snc/--ddr5 geometry toggles
+// where both are given. Exit codes: 0 OK, 1 runtime or boot failure, 2 usage
+// error or a failed audit.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,11 +19,9 @@
 #include "src/addr/platform.h"
 #include "src/attack/blacksmith.h"
 #include "src/audit/auditor.h"
-#include "src/base/parse.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/experiment.h"
 #include "src/sim/fleet.h"
 #include "src/sim/machine.h"
@@ -46,107 +32,52 @@ using namespace siloz;
 
 namespace {
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
+// One command's flags plus the exports every command takes.
+struct CommandLine {
+  FlagSet flags;
+  ObsFlags obs;
+  int argc;
+  char** argv;
+
+  // Call after declaring the command's own flags.
+  void Parse() {
+    obs.Declare(flags);
+    flags.Parse(argc, argv);
+    obs.Start();
   }
-  return false;
-}
+};
 
-void PrintUsage() {
-  std::fprintf(stderr,
-               "usage: silozctl <command>\n"
-               "  topology [--platform NAME] [--snc] [--ddr5] [--subarray-rows N]\n"
-               "  attack   [--baseline] [--patterns N] [--seed N]\n"
-               "  run      [workload] [--platform NAME] [--baseline] [--trials N]\n"
-               "           [--threads N] [--faults]\n"
-               "  fleet    [--policy reject|queue|defrag] [--seed N] [--threads N]\n"
-               "           [--duration S] [--rate R] [--burst A] [--epoch S]\n"
-               "           [--timeout S] [--json]\n"
-               "  audit    [--flip-ept] [--stride BYTES] [--threads N] [--json]\n"
-               "  groupof  <phys-address> [--platform NAME]\n"
-               "common: --threads N         worker count (0 = auto: $SILOZ_THREADS,\n"
-               "                            else hardware concurrency)\n"
-               "        --platform NAME     registered platform (skylake, cascadelake,\n"
-               "                            zen, ddr5): decoder family + geometry\n"
-               "        --metrics-out FILE  write the metrics registry as JSON\n"
-               "        --trace-out FILE    record + write a Chrome trace-event log\n");
-}
-
-// Parses `text` as an unsigned integer of type T in C syntax (decimal, 0x
-// hex, leading-0 octal). A sign, an empty value, trailing characters or a
-// value outside T print usage to stderr and exit 2 before the command
-// writes anything to stdout (`--trials abc` used to run 0 trials and exit 0).
-template <typename T>
-T UintArg(const char* what, const char* text) {
-  const std::optional<uint64_t> value = ParseUint(text, 0, std::numeric_limits<T>::max());
-  if (!value) {
-    std::fprintf(stderr, "silozctl: %s expects an unsigned integer, got '%s'\n", what, text);
-    PrintUsage();
-    std::exit(2);
-  }
-  return static_cast<T>(*value);
-}
-
-template <typename T>
-T FlagValue(int argc, char** argv, const char* flag, T fallback) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return UintArg<T>(flag, i + 1 < argc ? argv[i + 1] : "");
-    }
-  }
-  return fallback;
-}
-
-std::string FlagString(int argc, char** argv, const char* flag) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
-double FlagDouble(int argc, char** argv, const char* flag, double fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return std::strtod(argv[i + 1], nullptr);
-    }
-  }
-  return fallback;
-}
-
-int CmdTopology(int argc, char** argv) {
-  const std::string platform = FlagString(argc, argv, "--platform");
-  DramGeometry geometry = HasFlag(argc, argv, "--ddr5") ? Ddr5Geometry() : DramGeometry{};
+int CmdTopology(CommandLine& command) {
+  std::string platform;
+  bool snc = false;
+  bool ddr5 = false;
+  std::optional<uint32_t> subarray_rows;
+  DeclarePlatform(command.flags, &platform);
+  command.flags.Bool("--snc", &snc, "legacy toggle: SNC-2 decoder")
+      .Bool("--ddr5", &ddr5, "legacy toggle: DDR5 geometry");
+  DeclareSubarrayRows(command.flags, &subarray_rows);
+  command.Parse();
+  DramGeometry geometry = ddr5 ? Ddr5Geometry() : DramGeometry{};
   SilozConfig config;
   std::unique_ptr<AddressDecoder> decoder;
   if (!platform.empty()) {
-    const PlatformInfo* info = FindPlatform(platform);
-    if (info == nullptr) {
-      std::fprintf(stderr, "unknown platform '%s'\n", platform.c_str());
-      return 1;
-    }
-    geometry = info->geometry;
-    geometry.rows_per_subarray =
-        FlagValue<uint32_t>(argc, argv, "--subarray-rows", geometry.rows_per_subarray);
-    config.uniform_internal_addressing = info->uniform_internal_addressing;
-    Result<std::unique_ptr<AddressDecoder>> made = info->make(geometry);
+    const PlatformInfo& info = *FindPlatform(platform);
+    geometry = info.geometry;
+    geometry.rows_per_subarray = subarray_rows.value_or(geometry.rows_per_subarray);
+    config.uniform_internal_addressing = info.uniform_internal_addressing;
+    Result<std::unique_ptr<AddressDecoder>> made = MakePlatformDecoder(platform, geometry);
     if (!made.ok()) {
       std::fprintf(stderr, "platform '%s': %s\n", platform.c_str(),
                    made.error().ToString().c_str());
       return 1;
     }
     decoder = std::move(*made);
-  } else if (HasFlag(argc, argv, "--snc")) {
+  } else if (snc) {
     decoder = std::make_unique<SncDecoder>(geometry, 2);
   } else {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
   }
-  config.rows_per_subarray =
-      FlagValue<uint32_t>(argc, argv, "--subarray-rows", geometry.rows_per_subarray);
+  config.rows_per_subarray = subarray_rows.value_or(geometry.rows_per_subarray);
   FlatPhysMemory memory;
   SilozHypervisor hypervisor(*decoder, memory, config);
   if (Status status = hypervisor.Boot(); !status.ok()) {
@@ -173,11 +104,15 @@ int CmdTopology(int argc, char** argv) {
   return 0;
 }
 
-int CmdAttack(int argc, char** argv) {
-  const bool baseline = HasFlag(argc, argv, "--baseline");
+int CmdAttack(CommandLine& command) {
+  bool baseline = false;
   BlacksmithConfig fuzz;
-  fuzz.patterns = FlagValue<uint32_t>(argc, argv, "--patterns", 12);
-  fuzz.seed = FlagValue<uint64_t>(argc, argv, "--seed", 0xB1AC5);
+  fuzz.patterns = 12;
+  fuzz.seed = 0xB1AC5;
+  command.flags.Bool("--baseline", &baseline, "boot the unmodified Linux/KVM kernel")
+      .Uint("--patterns", &fuzz.patterns, "fuzzing patterns");
+  DeclareSeed(command.flags, &fuzz.seed);
+  command.Parse();
   MachineConfig machine_config;
   machine_config.fault_tracking = true;
   DimmProfile profile;
@@ -221,18 +156,24 @@ int CmdAttack(int argc, char** argv) {
   return 0;
 }
 
-int CmdAudit(int argc, char** argv) {
+int CmdAudit(CommandLine& command) {
   audit::Options options;
-  options.probe_stride = FlagValue<uint64_t>(argc, argv, "--stride", 4_MiB);
+  options.probe_stride = 4_MiB;
   options.random_probes = 512;
-  options.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
+  bool flip_ept = false;
+  bool json = false;
+  command.flags.Bool("--flip-ept", &flip_ept, "inject a bit flip into an EPT table page")
+      .Uint("--stride", &options.probe_stride, "physical probe stride in bytes");
+  DeclareThreads(command.flags, &options.threads);
+  command.flags.Bool("--json", &json, "machine-readable report");
+  command.Parse();
   DramGeometry geometry;
   SkylakeDecoder decoder(geometry);
   FlatPhysMemory memory;
   SilozHypervisor hypervisor(decoder, memory, SilozConfig{});
   SILOZ_CHECK(hypervisor.Boot().ok());
   const VmId vm = *hypervisor.CreateVm({.name = "tenant", .memory_bytes = 3_GiB});
-  if (HasFlag(argc, argv, "--flip-ept")) {
+  if (flip_ept) {
     Vm& tenant = **hypervisor.GetVm(vm);
     memory.FlipBit(tenant.ept()->table_pages().back() + 4, 2);
     std::printf("injected a bit flip into an EPT table page\n");
@@ -243,7 +184,7 @@ int CmdAudit(int argc, char** argv) {
   audit::Auditor auditor(hypervisor, RemapConfig{}, options);
   audit::Report report = auditor.Run();
   auditor.CheckVmContainment(**hypervisor.GetVm(vm), report);
-  if (HasFlag(argc, argv, "--json")) {
+  if (json) {
     std::printf("%s\n", report.ToJson().c_str());
   } else {
     std::printf("%s", report.ToText().c_str());
@@ -258,32 +199,41 @@ int CmdAudit(int argc, char** argv) {
   return (audit.ok() && report.ok()) ? 0 : 2;
 }
 
-int CmdRun(int argc, char** argv) {
+int CmdRun(CommandLine& command) {
   // The controller-backed experiment path: boots a machine + hypervisor per
   // trial and serves the workload through the memory controllers, so the
   // exported metrics include per-bank-group ACT/PRE/RD/WR/REF counts on top
   // of the hypervisor allocation counters. Model metrics are identical for
   // every --threads N (DESIGN.md §9).
-  const std::string name = (argc >= 3 && argv[2][0] != '-') ? argv[2] : "redis-a";
+  std::string name = "redis-a";
+  std::optional<uint64_t> accesses;
+  std::string platform;
+  bool baseline = false;
+  RunnerConfig config;
+  config.trials = 5;
+  config.seed = 42;
+  command.flags.String("workload", &name, "workload model")
+      .Uint("--accesses", &accesses, "requests per trial (default: the workload's)");
+  DeclarePlatform(command.flags, &platform);
+  command.flags.Bool("--baseline", &baseline, "boot the unmodified Linux/KVM kernel")
+      .Uint("--trials", &config.trials, "trials");
+  DeclareSeed(command.flags, &config.seed);
+  DeclareThreads(command.flags, &config.threads);
+  command.flags.Bool("--faults", &config.fault_tracking, "track Rowhammer bit flips");
+  command.Parse();
   Result<WorkloadSpec> spec = FindWorkload(name);
   if (!spec.ok()) {
     std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
     return 1;
   }
-  spec->accesses = FlagValue<uint64_t>(argc, argv, "--accesses", spec->accesses);
-  RunnerConfig config;
-  const std::string platform = FlagString(argc, argv, "--platform");
+  spec->accesses = accesses.value_or(spec->accesses);
   if (!platform.empty()) {
     if (Status applied = ApplyPlatform(config, platform); !applied.ok()) {
       std::fprintf(stderr, "--platform: %s\n", applied.error().ToString().c_str());
       return 1;
     }
   }
-  config.hypervisor.enabled = !HasFlag(argc, argv, "--baseline");
-  config.trials = FlagValue<uint32_t>(argc, argv, "--trials", 5);
-  config.seed = FlagValue<uint64_t>(argc, argv, "--seed", 42);
-  config.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
-  config.fault_tracking = HasFlag(argc, argv, "--faults");
+  config.hypervisor.enabled = !baseline;
   Result<RunMeasurement> run = RunWorkload(config, *spec);
   if (!run.ok()) {
     std::fprintf(stderr, "run: %s\n", run.error().ToString().c_str());
@@ -302,33 +252,30 @@ int CmdRun(int argc, char** argv) {
   return 0;
 }
 
-int CmdFleet(int argc, char** argv) {
+int CmdFleet(CommandLine& command) {
   // Fleet churn on the 8-socket fleet platform (§7 operational costs).
   // Model output (stdout) is bit-identical for every --threads N; the
   // wall-clock latency tails go to stderr so stdout stays comparable.
   FleetConfig config;
-  const std::string policy = FlagString(argc, argv, "--policy");
-  if (!policy.empty()) {
-    Result<AdmissionPolicy> parsed = ParseAdmissionPolicy(policy);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "--policy: %s\n", parsed.error().ToString().c_str());
-      return 1;
-    }
-    config.policy = *parsed;
-  }
-  config.seed = FlagValue<uint64_t>(argc, argv, "--seed", config.seed);
-  config.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
-  config.duration_s = FlagDouble(argc, argv, "--duration", config.duration_s);
-  config.arrivals_per_s = FlagDouble(argc, argv, "--rate", config.arrivals_per_s);
-  config.burst_amplitude = FlagDouble(argc, argv, "--burst", config.burst_amplitude);
-  config.epoch_s = FlagDouble(argc, argv, "--epoch", config.epoch_s);
-  config.queue_timeout_s = FlagDouble(argc, argv, "--timeout", config.queue_timeout_s);
+  std::string policy = AdmissionPolicyName(config.policy);
+  bool json = false;
+  command.flags.String("--policy", &policy, "admission policy", {"reject", "queue", "defrag"});
+  DeclareSeed(command.flags, &config.seed);
+  DeclareThreads(command.flags, &config.threads);
+  command.flags.Double("--duration", &config.duration_s, "arrival window in seconds")
+      .Double("--rate", &config.arrivals_per_s, "base arrivals per second")
+      .Double("--burst", &config.burst_amplitude, "diurnal modulation depth")
+      .Double("--epoch", &config.epoch_s, "defrag and census cadence in seconds")
+      .Double("--timeout", &config.queue_timeout_s, "queue abandonment timeout in seconds")
+      .Bool("--json", &json, "machine-readable report");
+  command.Parse();
+  config.policy = *ParseAdmissionPolicy(policy);
   Result<FleetReport> report = RunFleetChurn(config);
   if (!report.ok()) {
     std::fprintf(stderr, "fleet: %s\n", report.error().ToString().c_str());
     return 1;
   }
-  if (HasFlag(argc, argv, "--json")) {
+  if (json) {
     std::printf("%s\n", report->ModelJson().c_str());
   } else {
     std::printf("%s", report->ModelText().c_str());
@@ -337,89 +284,78 @@ int CmdFleet(int argc, char** argv) {
   return report->drained_clean ? 0 : 2;
 }
 
-int CmdGroupOf(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr, "usage: silozctl groupof <phys-address> [--platform NAME]\n");
-    return 1;
+int CmdGroupOf(CommandLine& command) {
+  std::optional<uint64_t> phys;
+  std::string platform;
+  command.flags.Uint("phys-address", &phys, "physical address (required)");
+  DeclarePlatform(command.flags, &platform);
+  command.Parse();
+  if (!phys) {
+    command.flags.UsageError("missing <phys-address>");
   }
-  const std::string platform = FlagString(argc, argv, "--platform");
-  DramGeometry geometry;
-  std::unique_ptr<AddressDecoder> decoder;
+  // A registered platform's own geometry always builds its decoder.
+  std::unique_ptr<AddressDecoder> decoder = std::make_unique<SkylakeDecoder>(DramGeometry{});
   if (!platform.empty()) {
-    const PlatformInfo* info = FindPlatform(platform);
-    if (info == nullptr) {
-      std::fprintf(stderr, "unknown platform '%s'\n", platform.c_str());
-      return 1;
-    }
-    geometry = info->geometry;
-    Result<std::unique_ptr<AddressDecoder>> made = info->make(geometry);
-    if (!made.ok()) {
-      std::fprintf(stderr, "platform '%s': %s\n", platform.c_str(),
-                   made.error().ToString().c_str());
-      return 1;
-    }
-    decoder = std::move(*made);
-  } else {
-    decoder = std::make_unique<SkylakeDecoder>(geometry);
+    decoder = MakePlatformDecoder(platform).value();
   }
+  const DramGeometry& geometry = decoder->geometry();
   SubarrayGroupMap map = *SubarrayGroupMap::Build(*decoder, geometry.rows_per_subarray);
-  const uint64_t phys = UintArg<uint64_t>("phys-address", argv[2]);
-  Result<uint32_t> group = map.GroupOfPhys(phys);
+  Result<uint32_t> group = map.GroupOfPhys(*phys);
   if (!group.ok()) {
     std::fprintf(stderr, "%s\n", group.error().ToString().c_str());
     return 1;
   }
-  const MediaAddress media = *decoder->PhysToMedia(phys);
+  const MediaAddress media = *decoder->PhysToMedia(*phys);
   std::printf("phys 0x%lx -> %s -> subarray group %u (socket %u, subarray %u)\n",
-              static_cast<unsigned long>(phys), media.ToString().c_str(), *group,
+              static_cast<unsigned long>(*phys), media.ToString().c_str(), *group,
               map.SocketOfGroup(*group), map.IndexInCluster(*group));
   return 0;
 }
 
-}  // namespace
+struct Command {
+  const char* name;
+  const char* summary;
+  int (*run)(CommandLine& command);
+};
 
-int Dispatch(int argc, char** argv, const std::string& command) {
-  if (command == "topology") {
-    return CmdTopology(argc, argv);
+constexpr Command kCommands[] = {
+    {"topology", "print the logical NUMA topology Siloz boots", CmdTopology},
+    {"attack", "run a Blacksmith campaign from one VM against a co-located victim", CmdAttack},
+    {"audit", "audit the boot plan's isolation invariants and one live VM's EPT", CmdAudit},
+    {"run", "serve one workload through the memory controllers", CmdRun},
+    {"fleet", "replay fleet churn on the 8-socket fleet platform", CmdFleet},
+    {"groupof", "print the subarray group of a physical address", CmdGroupOf},
+};
+
+std::string Usage() {
+  std::string usage = "usage: silozctl <command> [flags]  (silozctl <command> --help lists them)\n";
+  for (const Command& command : kCommands) {
+    usage += "  " + std::string(command.name) + std::string(10 - std::strlen(command.name), ' ') +
+             command.summary + "\n";
   }
-  if (command == "attack") {
-    return CmdAttack(argc, argv);
-  }
-  if (command == "audit") {
-    return CmdAudit(argc, argv);
-  }
-  if (command == "run") {
-    return CmdRun(argc, argv);
-  }
-  if (command == "fleet") {
-    return CmdFleet(argc, argv);
-  }
-  if (command == "groupof") {
-    return CmdGroupOf(argc, argv);
-  }
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return 1;
+  return usage;
 }
 
+}  // namespace
+
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    PrintUsage();
-    return 1;
+  const std::string name = argc >= 2 ? argv[1] : "";
+  if (name == "--help" || name == "-h") {
+    std::fputs(Usage().c_str(), stdout);
+    return 0;
   }
-  const std::string command = argv[1];
-  const std::string metrics_out = FlagString(argc, argv, "--metrics-out");
-  const std::string trace_out = FlagString(argc, argv, "--trace-out");
-  if (!trace_out.empty()) {
-    obs::Tracer::Global().Enable();
+  for (const Command& command : kCommands) {
+    if (name == command.name) {
+      CommandLine line{FlagSet("silozctl " + name, command.summary), ObsFlags{}, argc - 1,
+                       argv + 1};
+      // Commands keep all simulated objects function-local, so their
+      // destructors have flushed every model counter by the time run returns.
+      const int status = command.run(line);
+      return line.obs.Write() ? status : 1;
+    }
   }
-  // Commands keep all simulated objects function-local, so their destructors
-  // have flushed every model counter by the time Dispatch returns.
-  const int status = Dispatch(argc, argv, command);
-  if (!metrics_out.empty() && !obs::WriteMetricsJson(metrics_out)) {
-    return 1;
-  }
-  if (!trace_out.empty() && !obs::WriteTraceJson(trace_out)) {
-    return 1;
-  }
-  return status;
+  std::fprintf(stderr, "silozctl: %s\n%s",
+               name.empty() ? "missing command" : ("unknown command '" + name + "'").c_str(),
+               Usage().c_str());
+  return 2;
 }

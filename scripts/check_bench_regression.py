@@ -17,64 +17,18 @@ Two contracts, enforced at different strengths:
   the tolerance band (default +/-25%) prints a warning but still exits 0.
   Use the warning as a prompt to re-baseline deliberately, never silently.
 
-The baseline file also carries a `history` section of before/after wall
-clocks per optimization PR. `--append-wall NAME=MILLIS` (repeatable)
-records measured figure-suite walls into the `history.subshard_engine`
-block — `after` is set to the given value, and `before` is seeded from the
-most recent prior block's `after` for the same bench when absent — then
-rewrites the baseline in place. Appending is an explicit, reviewed action:
-it edits a committed file.
+Wall-clock history is not recorded here: perfbench/run.py owns timing, with
+repeat spreads and a host manifest per run.
 
 Usage:
   check_bench_regression.py --bench build/bench/bench_hotpath \
-      --baseline BENCH_hotpath.json [--tolerance 0.25] \
-      [--append-wall bench_fig4_exec_time=812 ...]
+      --baseline BENCH_hotpath.json [--tolerance 0.25]
 """
 
 import argparse
 import json
 import subprocess
 import sys
-
-# The history block this PR's wall-clock refreshes land in (sub-channel
-# bank-group queues + grid-level trial sharding).
-WALL_BLOCK = "subshard_engine"
-
-
-def append_walls(path: str, entries: list[str]) -> None:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    history = doc.setdefault("history", {})
-    block = history.setdefault(WALL_BLOCK, {})
-    block.setdefault(
-        "_comment",
-        [
-            "Before/after the sub-channel bank-group queue split (DESIGN.md",
-            "§15) and the flattened grid-level (point x trial) schedule.",
-            "Walls measured by `check_bench_regression.py --append-wall`;",
-            "output bytes identical throughout.",
-        ],
-    )
-    wall_ms = block.setdefault("wall_ms", {})
-    # Seed `before` from the newest older block that measured the same bench.
-    prior_after = {}
-    for block_name, prior in history.items():
-        if block_name == WALL_BLOCK or not isinstance(prior, dict):
-            continue
-        for bench, walls in prior.get("wall_ms", {}).items():
-            if isinstance(walls, dict) and "after" in walls:
-                prior_after[bench] = walls["after"]
-    for entry in entries:
-        name, _, millis = entry.partition("=")
-        if not millis:
-            raise SystemExit(f"--append-wall expects NAME=MILLIS, got {entry!r}")
-        record = wall_ms.setdefault(name, {})
-        record.setdefault("before", prior_after.get(name))
-        record["after"] = float(millis) if "." in millis else int(millis)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, ensure_ascii=False)
-        f.write("\n")
-    print(f"appended wall clocks to {path}: history.{WALL_BLOCK}.wall_ms")
 
 
 def main() -> int:
@@ -87,18 +41,7 @@ def main() -> int:
         default=0.25,
         help="advisory relative timing band (0.25 = +/-25%%)",
     )
-    parser.add_argument(
-        "--append-wall",
-        action="append",
-        default=[],
-        metavar="NAME=MILLIS",
-        help=f"record a measured wall clock into history.{WALL_BLOCK} "
-        "of the baseline file (repeatable; rewrites the file)",
-    )
     args = parser.parse_args()
-
-    if args.append_wall:
-        append_walls(args.baseline, args.append_wall)
 
     with open(args.baseline, encoding="utf-8") as f:
         baseline = json.load(f)["benchmarks"]

@@ -137,6 +137,13 @@ std::vector<std::string> PlatformNames() {
   return names;
 }
 
+void DeclarePlatform(FlagSet& flags, std::string* platform) {
+  flags.String("--platform", platform,
+               "registered platform: decoder family, geometry and DDR-generation semantics "
+               "(default: the Table 2 Skylake server)",
+               PlatformNames());
+}
+
 const PlatformInfo* FindPlatform(std::string_view name) {
   const auto& registry = PlatformRegistry();
   const auto it = registry.find(name);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/addr/decoder.h"
+#include "src/base/flags.h"
 #include "src/base/result.h"
 #include "src/dram/geometry.h"
 #include "src/dram/remap.h"
@@ -56,6 +57,12 @@ const std::map<std::string, PlatformInfo, std::less<>>& PlatformRegistry();
 
 // Names in registry (= lexicographic) order, for --help text and matrices.
 std::vector<std::string> PlatformNames();
+
+// The shared `--platform NAME` flag (src/base/flags.h): one of
+// PlatformNames(); empty, the default, keeps the binary's own machine (the
+// Table 2 Skylake server). Model configuration: reported numbers depend on
+// it, so binaries print it.
+void DeclarePlatform(FlagSet& flags, std::string* platform);
 
 // nullptr when `name` is not registered.
 const PlatformInfo* FindPlatform(std::string_view name);

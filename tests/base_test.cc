@@ -1,12 +1,16 @@
-// Unit tests for src/base: Result, Rng, stats, bitops, units, CHECK macros.
+// Unit tests for src/base: Result, Rng, stats, bitops, units, CHECK macros,
+// and the declared flag layer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 #include <set>
 #include <vector>
 
 #include "src/base/bitops.h"
 #include "src/base/check.h"
+#include "src/base/flags.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
@@ -351,6 +355,198 @@ TEST(UnitsTest, Literals) {
   EXPECT_EQ(32_GiB, 32ull * 1024 * 1024 * 1024);
   EXPECT_EQ(8_KiB, 8192ull);
   EXPECT_EQ(24_MiB, 24ull * 1024 * 1024);
+}
+
+// --- Flags ---
+
+// Parses `args` (program name excluded) with TryParse: true when --help was
+// asked for, an error message otherwise.
+Result<bool> ParseArgs(FlagSet& flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags.TryParse(static_cast<int>(args.size()), args.data());
+}
+
+std::string ParseError(FlagSet& flags, std::vector<const char*> args) {
+  const Result<bool> parsed = ParseArgs(flags, std::move(args));
+  return parsed.ok() ? "" : parsed.error().message;
+}
+
+TEST(FlagsTest, UintRangeIsInclusiveAndDefaultsStay) {
+  uint32_t threads = 7;
+  uint32_t queue = 1;
+  FlagSet flags("prog", "test");
+  flags.Uint("--threads", &threads, "", 0, 1024).Uint("--queue", &queue, "", 1, 4);
+  ASSERT_TRUE(ParseArgs(flags, {}).ok());
+  EXPECT_EQ(threads, 7u);
+  EXPECT_EQ(queue, 1u);
+
+  FlagSet edges("prog", "test");
+  edges.Uint("--threads", &threads, "", 0, 1024).Uint("--queue", &queue, "", 1, 4);
+  ASSERT_TRUE(ParseArgs(edges, {"--threads", "1024", "--queue", "4"}).ok());
+  EXPECT_EQ(threads, 1024u);
+  EXPECT_EQ(queue, 4u);
+
+  for (const char* bad : {"1025", "-1", "99999999999999999999"}) {
+    FlagSet out("prog", "test");
+    out.Uint("--threads", &threads, "", 0, 1024);
+    EXPECT_NE(ParseError(out, {"--threads", bad}).find("expects an unsigned integer in [0, 1024]"),
+              std::string::npos)
+        << bad;
+  }
+  FlagSet zero("prog", "test");
+  zero.Uint("--queue", &queue, "", 1, 4);
+  EXPECT_NE(ParseError(zero, {"--queue", "0"}), "");
+  EXPECT_EQ(queue, 4u);  // a rejected value never reaches the variable
+}
+
+TEST(FlagsTest, UintsUseCSyntaxAndAllOfTheirText) {
+  uint64_t stride = 0;
+  uint8_t small = 0;
+  for (const auto& [text, value] :
+       std::vector<std::pair<const char*, uint64_t>>{{"0x100000", 0x100000}, {"010", 8}, {"42", 42}}) {
+    FlagSet flags("prog", "test");
+    flags.Uint("--stride", &stride, "");
+    ASSERT_TRUE(ParseArgs(flags, {"--stride", text}).ok()) << text;
+    EXPECT_EQ(stride, value) << text;
+  }
+  for (const char* bad : {"0x", "4x", "abc", "", " 4", "+4", "1e3"}) {
+    FlagSet flags("prog", "test");
+    flags.Uint("--stride", &stride, "");
+    EXPECT_NE(ParseError(flags, {"--stride", bad}), "") << "'" << bad << "'";
+  }
+  // The default range is the variable's type.
+  FlagSet narrow("prog", "test");
+  narrow.Uint("--small", &small, "");
+  EXPECT_NE(ParseError(narrow, {"--small", "256"}), "");
+}
+
+TEST(FlagsTest, DoublesAreStrictAndFinite) {
+  double duration = 200.0;
+  FlagSet flags("prog", "test");
+  flags.Double("--duration", &duration, "");
+  ASSERT_TRUE(ParseArgs(flags, {"--duration", "12.5"}).ok());
+  EXPECT_EQ(duration, 12.5);
+  for (const char* bad : {"abc", "1e", "nan", "inf", "-inf", "1e999", "", " 1", "1.5x"}) {
+    FlagSet strict("prog", "test");
+    strict.Double("--duration", &duration, "");
+    EXPECT_NE(ParseError(strict, {"--duration", bad}).find("expects a finite number"),
+              std::string::npos)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(duration, 12.5);
+}
+
+TEST(FlagsTest, StringsCheckTheirChoices) {
+  std::string policy = "defrag";
+  std::string out;
+  FlagSet flags("prog", "test");
+  flags.String("--policy", &policy, "", {"reject", "queue", "defrag"}).String("--out", &out, "");
+  ASSERT_TRUE(ParseArgs(flags, {"--policy", "queue", "--out", "-"}).ok());
+  EXPECT_EQ(policy, "queue");
+  EXPECT_EQ(out, "-");
+  FlagSet bad("prog", "test");
+  bad.String("--policy", &policy, "", {"reject", "queue", "defrag"});
+  EXPECT_NE(ParseError(bad, {"--policy", "bogus"}).find("one of reject|queue|defrag"),
+            std::string::npos);
+}
+
+TEST(FlagsTest, UnknownRepeatedAndValuelessFlagsAreRejected) {
+  uint32_t trials = 5;
+  bool json = false;
+  auto make = [&](FlagSet& flags) {
+    flags.Uint("--trials", &trials, "").Bool("--json", &json, "");
+  };
+  FlagSet typo("prog", "test");
+  make(typo);
+  EXPECT_EQ(ParseError(typo, {"--trails", "2"}), "unknown flag '--trails'");
+  FlagSet twice("prog", "test");
+  make(twice);
+  EXPECT_EQ(ParseError(twice, {"--trials", "1", "--trials", "2"}),
+            "--trials given more than once");
+  FlagSet twice_bool("prog", "test");
+  make(twice_bool);
+  EXPECT_EQ(ParseError(twice_bool, {"--json", "--json"}), "--json given more than once");
+  FlagSet missing("prog", "test");
+  make(missing);
+  EXPECT_EQ(ParseError(missing, {"--trials"}), "--trials requires a value");
+  FlagSet ok("prog", "test");
+  make(ok);
+  ASSERT_TRUE(ParseArgs(ok, {"--json", "--trials", "3"}).ok());
+  EXPECT_TRUE(json);
+  EXPECT_EQ(trials, 3u);
+}
+
+TEST(FlagsTest, PositionalsFillInOrderAndStraysAreRejected) {
+  std::string workload = "redis-a";
+  std::optional<uint64_t> address;
+  uint32_t trials = 5;
+  auto make = [&](FlagSet& flags) {
+    flags.String("workload", &workload, "").Uint("address", &address, "").Uint(
+        "--trials", &trials, "");
+  };
+  FlagSet none("prog", "test");
+  make(none);
+  ASSERT_TRUE(ParseArgs(none, {"--trials", "2"}).ok());
+  EXPECT_EQ(workload, "redis-a");
+  EXPECT_FALSE(address.has_value());
+
+  FlagSet both("prog", "test");
+  make(both);
+  ASSERT_TRUE(ParseArgs(both, {"memcached", "--trials", "3", "0x40000000"}).ok());
+  EXPECT_EQ(workload, "memcached");
+  EXPECT_EQ(address, 0x40000000u);
+
+  FlagSet stray("prog", "test");
+  make(stray);
+  EXPECT_EQ(ParseError(stray, {"a", "1", "extra"}), "unexpected argument 'extra'");
+  FlagSet malformed("prog", "test");
+  make(malformed);
+  EXPECT_NE(ParseError(malformed, {"a", "12abc"}).find("address expects"), std::string::npos);
+  FlagSet flagless("prog", "test");
+  EXPECT_EQ(ParseError(flagless, {"1"}), "unexpected argument '1'");
+  FlagSet threads("prog", "test");
+  EXPECT_EQ(ParseError(threads, {"--threads", "8"}), "unknown flag '--threads'");
+}
+
+TEST(FlagsTest, HelpStopsParsingAndListsEveryDeclaration) {
+  uint32_t threads = 0;
+  std::optional<uint32_t> rows;
+  std::string platform;
+  FlagSet flags("prog", "one-line summary");
+  DeclareThreads(flags, &threads);
+  DeclareSubarrayRows(flags, &rows);
+  flags.String("--platform", &platform, "platform", {"skylake", "zen"});
+  const Result<bool> help = ParseArgs(flags, {"--help", "--bogus"});
+  ASSERT_TRUE(help.ok());
+  EXPECT_TRUE(*help);
+  const std::string usage = flags.Usage();
+  EXPECT_EQ(usage.rfind("usage: prog [flags]\none-line summary\n", 0), 0u) << usage;
+  EXPECT_NE(usage.find("--threads N"), std::string::npos);
+  EXPECT_NE(usage.find("[0, 1024] (default 0)"), std::string::npos);
+  EXPECT_NE(usage.find("--subarray-rows N"), std::string::npos);
+  EXPECT_NE(usage.find("--platform skylake|zen"), std::string::npos);
+  EXPECT_NE(usage.find("--help"), std::string::npos);
+  FlagSet short_help("prog", "test");
+  EXPECT_TRUE(*ParseArgs(short_help, {"-h"}));
+}
+
+TEST(FlagsDeathTest, ParseExitsTwoOnBadInputAndZeroOnHelp) {
+  uint32_t threads = 0;
+  const char* bad[] = {"prog", "--threads", "abc"};
+  EXPECT_EXIT(
+      {
+        FlagSet flags("prog", "test");
+        DeclareThreads(flags, &threads);
+        flags.Parse(3, bad);
+      },
+      ::testing::ExitedWithCode(2), "prog: --threads expects an unsigned integer");
+  const char* help[] = {"prog", "--help"};
+  EXPECT_EXIT(
+      {
+        FlagSet flags("prog", "test");
+        flags.Parse(2, help);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -1,21 +1,20 @@
-// Pins the figure drivers' --threads contract (bench/fig_common.h): the
-// thread count is resolved exactly once, and the resolved value — the one the
-// banner prints and telemetry is labeled with — must equal the worker count
-// of the pool that actually runs the grid. Regression: each layer used to
+// Pins the figure drivers' --threads contract (bench/fig_common.h calls
+// ResolveThreads once): the resolved value — the one the banner prints and
+// telemetry is labeled with — must equal the worker count of the pool that
+// actually runs the grid. Regression: each layer used to
 // call ResolveThreads() independently, so the banner and the pool disagreed
 // whenever $SILOZ_THREADS changed between the two reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
-#include "bench/fig_common.h"
 #include "src/base/thread_pool.h"
 
 namespace siloz {
 namespace {
-
-using bench::FigureThreads;
 
 // Restores $SILOZ_THREADS on scope exit so these tests cannot leak state
 // into each other (or into a developer's shell-configured run).
@@ -44,26 +43,26 @@ class ScopedThreadsEnv {
 TEST(FigThreadsTest, ExplicitFlagWinsOverEnvironment) {
   ScopedThreadsEnv guard;
   ::setenv("SILOZ_THREADS", "7", 1);
-  EXPECT_EQ(FigureThreads(3), 3u);
-  ThreadPool pool(FigureThreads(3));
+  EXPECT_EQ(ResolveThreads(3), 3u);
+  ThreadPool pool(ResolveThreads(3));
   EXPECT_EQ(pool.worker_count(), 3u);
 }
 
 TEST(FigThreadsTest, AutoResolvesEnvironmentThenHardware) {
   ScopedThreadsEnv guard;
   ::setenv("SILOZ_THREADS", "5", 1);
-  EXPECT_EQ(FigureThreads(0), 5u);
+  EXPECT_EQ(ResolveThreads(0), 5u);
   ::unsetenv("SILOZ_THREADS");
-  EXPECT_EQ(FigureThreads(0), std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
   ::setenv("SILOZ_THREADS", "0", 1);  // non-positive values fall through
-  EXPECT_EQ(FigureThreads(0), std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(FigThreadsTest, ReportedCountEqualsPoolWorkerCountUnderEnvDrift) {
   ScopedThreadsEnv guard;
   // Resolve once — this is the value RunFigure prints in its banner...
   ::setenv("SILOZ_THREADS", "3", 1);
-  const uint32_t reported = FigureThreads(0);
+  const uint32_t reported = ResolveThreads(0);
   ASSERT_EQ(reported, 3u);
   // ...then the environment drifts before the grid pool is constructed.
   ::setenv("SILOZ_THREADS", "7", 1);

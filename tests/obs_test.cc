@@ -32,8 +32,9 @@ using obs::TraceSpan;
 
 // --- Minimal JSON parser (tests only) ---------------------------------------
 //
-// Parses the subset the exporters emit: objects, arrays, strings with \" \\
-// and \uXXXX escapes, integers (optionally negative), and the three literals.
+// Parses the subset the exporters emit: objects, arrays, strings (with
+// escaped quotes, escaped backslashes and \uXXXX escapes), integers
+// (optionally negative), and the three literals.
 // Object members keep insertion order so tests can assert serialization
 // order, not just key sets.
 

@@ -3,21 +3,11 @@
 // Proves the four Siloz isolation invariants (decoder invertibility, domain
 // closure, guard fencing, blast-radius containment) for a machine
 // configuration without running any workload. Exit codes: 0 = all invariants
-// hold, 2 = findings or a malformed integer value, 1 = other usage/boot
-// errors. CI runs this on the default dual-socket Skylake platform and fails
-// on any finding.
-//
-// Usage:
-//   siloz_audit [--platform NAME] [--decoder skylake|snc2|linear] [--ddr5]
-//               [--subarray-rows N] [--silicon-rows N] [--host-groups N]
-//               [--ept-block N] [--ept-offset N] [--stride BYTES]
-//               [--random-probes N] [--exhaustive] [--max-findings N]
-//               [--corrupt none|shifted-jump|broken-inverse]
-//               [--scrambling] [--threads N] [--json]
+// hold, 1 = boot or audit setup failure, 2 = findings or a usage error (every
+// flag is declared through src/base/flags.h, so a typo'd flag cannot report
+// PASS). CI runs this on the default dual-socket Skylake platform and fails
+// on any finding. `siloz_audit --help` lists the flags.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,167 +16,66 @@
 #include "src/addr/platform.h"
 #include "src/audit/auditor.h"
 #include "src/audit/corrupt_decoder.h"
-#include "src/base/parse.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/dram/remap.h"
 #include "src/ept/phys_memory.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/siloz/conservation.h"
 #include "src/siloz/hypervisor.h"
 
 using namespace siloz;
 
-namespace {
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* FlagString(int argc, char** argv, const char* flag, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return fallback;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: siloz_audit [options]\n"
-               "  --platform NAME                 registered platform (skylake, cascadelake,\n"
-               "                                  zen, ddr5): decoder family, geometry, and\n"
-               "                                  remap semantics; overrides --decoder/--ddr5\n"
-               "  --decoder skylake|snc2|linear   platform decoder (default skylake)\n"
-               "  --ddr5                          DDR5 geometry + remap semantics\n"
-               "  --subarray-rows N               boot parameter (default 1024)\n"
-               "  --silicon-rows N                silicon ground truth (default = boot value)\n"
-               "  --host-groups N                 host groups per socket (default 2)\n"
-               "  --ept-block N / --ept-offset N  guard-row block geometry (default 32/12)\n"
-               "  --stride BYTES                  physical probe stride (default 256 KiB)\n"
-               "  --random-probes N               extra seeded probes (default 4096)\n"
-               "  --exhaustive                    probe every 4 KiB page\n"
-               "  --max-findings N                findings kept per invariant (default 16)\n"
-               "  --corrupt none|shifted-jump|broken-inverse\n"
-               "                                  audit against a deliberately wrong decoder\n"
-               "  --scrambling                    model vendor row-bit scrambling\n"
-               "  --threads N                     audit scan workers (0 = auto,\n"
-               "                                  1 = serial; findings identical for all N)\n"
-               "  --fault-sweep                   instead of the static audit, run the\n"
-               "                                  CreateVm and MigrateVm fault-injection\n"
-               "                                  sweeps: fail each allocation point once\n"
-               "                                  and verify the lifecycle conservation\n"
-               "                                  invariants (migration needs >= 2 sockets)\n"
-               "  --json                          machine-readable report\n"
-               "  --metrics-out FILE              write the metrics registry as JSON (model\n"
-               "                                  values identical for every --threads)\n"
-               "  --trace-out FILE                record + write a Chrome trace-event log\n");
-  return 1;
-}
-
-// Parses `flag`'s value as an unsigned integer of type T in C syntax
-// (decimal, 0x hex, leading-0 octal; CI passes `--stride 0x100000`). A sign,
-// trailing characters or a value outside T print usage to stderr and exit 2
-// before anything reaches stdout.
-template <typename T>
-T FlagValue(int argc, char** argv, const char* flag, T fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) {
-      continue;
-    }
-    const std::optional<uint64_t> value =
-        ParseUint(argv[i + 1], 0, std::numeric_limits<T>::max());
-    if (!value) {
-      std::fprintf(stderr, "siloz_audit: %s expects an unsigned integer, got '%s'\n", flag,
-                   argv[i + 1]);
-      Usage();
-      std::exit(2);
-    }
-    return static_cast<T>(*value);
-  }
-  return fallback;
-}
-
-// A CI gate must not silently ignore a typo'd flag and report PASS.
-bool ValidateFlags(int argc, char** argv) {
-  static const char* kValueFlags[] = {"--platform",  "--decoder",       "--subarray-rows",
-                                      "--silicon-rows", "--host-groups", "--ept-block",
-                                      "--ept-offset", "--stride",       "--random-probes",
-                                      "--max-findings", "--corrupt",    "--threads",
-                                      "--metrics-out", "--trace-out"};
-  static const char* kBoolFlags[] = {"--ddr5",  "--exhaustive", "--scrambling", "--json",
-                                     "--fault-sweep", "--help", "-h"};
-  for (int i = 1; i < argc; ++i) {
-    bool known = false;
-    for (const char* flag : kValueFlags) {
-      if (std::strcmp(argv[i], flag) == 0) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s requires a value\n", flag);
-          return false;
-        }
-        ++i;
-        known = true;
-        break;
-      }
-    }
-    for (const char* flag : kBoolFlags) {
-      known = known || std::strcmp(argv[i], flag) == 0;
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  if (!ValidateFlags(argc, argv)) {
-    return Usage();
-  }
-  if (HasFlag(argc, argv, "--help") || HasFlag(argc, argv, "-h")) {
-    return Usage();
-  }
+  std::string platform;
+  std::string decoder_name = "skylake";
+  bool ddr5 = false;
+  std::optional<uint32_t> subarray_rows;
+  SilozConfig config;
+  audit::Options options;
+  std::string corrupt = "none";
+  bool scrambling = false;
+  bool fault_sweep = false;
+  bool json = false;
+  ObsFlags obs;
+  FlagSet flags(argv[0], "Static isolation audit of a Siloz boot plan (four invariants)");
+  DeclarePlatform(flags, &platform);
+  flags.String("--decoder", &decoder_name, "platform decoder (--platform overrides it)",
+               {"skylake", "snc2", "linear"})
+      .Bool("--ddr5", &ddr5, "DDR5 geometry and remap semantics (--platform overrides it)");
+  DeclareSubarrayRows(flags, &subarray_rows);
+  flags
+      .Uint("--silicon-rows", &options.silicon_rows_per_subarray,
+            "silicon ground-truth rows per subarray; 0 = the boot value")
+      .Uint("--host-groups", &config.host_groups_per_socket, "host groups per socket")
+      .Uint("--ept-block", &config.ept_block_row_groups, "guard-row block size b")
+      .Uint("--ept-offset", &config.ept_row_group_offset, "guard-row block offset o")
+      .Uint("--stride", &options.probe_stride, "physical probe stride in bytes")
+      .Uint("--random-probes", &options.random_probes, "extra seeded probes")
+      .Bool("--exhaustive", &options.exhaustive, "probe every 4 KiB page")
+      .Uint("--max-findings", &options.max_findings_per_invariant, "findings kept per invariant")
+      .String("--corrupt", &corrupt, "audit against a deliberately wrong decoder",
+              {"none", "shifted-jump", "broken-inverse"})
+      .Bool("--scrambling", &scrambling, "model vendor row-bit scrambling");
+  DeclareThreads(flags, &options.threads);
+  flags.Bool("--fault-sweep", &fault_sweep,
+             "instead of the static audit, fail each CreateVm and MigrateVm allocation point "
+             "once and verify the lifecycle conservation invariants")
+      .Bool("--json", &json, "machine-readable report");
+  obs.Declare(flags);
+  flags.Parse(argc, argv);
 
-  const bool ddr5 = HasFlag(argc, argv, "--ddr5");
-  const std::string platform = FlagString(argc, argv, "--platform", "");
-  const PlatformInfo* platform_info = nullptr;
-  if (!platform.empty()) {
-    platform_info = FindPlatform(platform);
-    if (platform_info == nullptr) {
-      std::fprintf(stderr, "unknown platform '%s'\n", platform.c_str());
-      return Usage();
-    }
-  }
+  const PlatformInfo* platform_info = platform.empty() ? nullptr : FindPlatform(platform);
   DramGeometry geometry = platform_info != nullptr ? platform_info->geometry
                           : ddr5                   ? Ddr5Geometry()
                                                    : DramGeometry{};
-
-  SilozConfig config;
-  config.rows_per_subarray =
-      FlagValue<uint32_t>(argc, argv, "--subarray-rows", geometry.rows_per_subarray);
-  config.host_groups_per_socket =
-      FlagValue<uint32_t>(argc, argv, "--host-groups", config.host_groups_per_socket);
-  config.ept_block_row_groups =
-      FlagValue<uint32_t>(argc, argv, "--ept-block", config.ept_block_row_groups);
-  config.ept_row_group_offset =
-      FlagValue<uint32_t>(argc, argv, "--ept-offset", config.ept_row_group_offset);
+  config.rows_per_subarray = subarray_rows.value_or(geometry.rows_per_subarray);
   config.uniform_internal_addressing =
       ddr5 || (platform_info != nullptr && platform_info->uniform_internal_addressing);
   geometry.rows_per_subarray = config.rows_per_subarray;
 
-  const std::string decoder_name = FlagString(argc, argv, "--decoder", "skylake");
   std::unique_ptr<AddressDecoder> decoder;
   if (platform_info != nullptr) {
-    Result<std::unique_ptr<AddressDecoder>> made = platform_info->make(geometry);
+    Result<std::unique_ptr<AddressDecoder>> made = MakePlatformDecoder(platform, geometry);
     if (!made.ok()) {
       std::fprintf(stderr, "platform '%s': %s\n", platform.c_str(),
                    made.error().ToString().c_str());
@@ -197,19 +86,16 @@ int main(int argc, char** argv) {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
   } else if (decoder_name == "snc2") {
     decoder = std::make_unique<SncDecoder>(geometry, 2);
-  } else if (decoder_name == "linear") {
-    decoder = std::make_unique<LinearDecoder>(geometry);
   } else {
-    std::fprintf(stderr, "unknown decoder '%s'\n", decoder_name.c_str());
-    return Usage();
+    decoder = std::make_unique<LinearDecoder>(geometry);
   }
 
   RemapConfig remap = platform_info != nullptr ? platform_info->remap
                       : ddr5                   ? Ddr5RemapConfig()
                                                : RemapConfig{};
-  remap.vendor_scrambling = HasFlag(argc, argv, "--scrambling");
+  remap.vendor_scrambling = scrambling;
 
-  if (HasFlag(argc, argv, "--fault-sweep")) {
+  if (fault_sweep) {
     // Lifecycle mode: prove every CreateVm error path conserves resources
     // (DESIGN.md §11) on this platform configuration.
     FlatPhysMemory memory;
@@ -264,18 +150,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  audit::Options options;
-  options.silicon_rows_per_subarray = FlagValue<uint32_t>(argc, argv, "--silicon-rows", 0);
-  options.probe_stride = FlagValue<uint64_t>(argc, argv, "--stride", options.probe_stride);
-  options.random_probes =
-      FlagValue<uint64_t>(argc, argv, "--random-probes", options.random_probes);
-  options.exhaustive = HasFlag(argc, argv, "--exhaustive");
-  options.max_findings_per_invariant = FlagValue<size_t>(argc, argv, "--max-findings", 16);
-  options.threads = FlagValue<uint32_t>(argc, argv, "--threads", 0);
-
   // Optional negative mode: the machine's "real" mapping deviates from the
   // decoder the hypervisor boots with, so the audit should FAIL.
-  const std::string corrupt = FlagString(argc, argv, "--corrupt", "none");
   std::unique_ptr<audit::CorruptedDecoder> corrupted;
   const AddressDecoder* truth = decoder.get();
   if (corrupt != "none") {
@@ -284,24 +160,15 @@ int main(int argc, char** argv) {
     const uint64_t region = platform_info != nullptr
                                 ? ShiftedJumpPeriod(*platform_info, geometry)
                                 : SkylakeDecoder(geometry).region_bytes();
-    if (corrupt == "shifted-jump") {
-      corrupted = std::make_unique<audit::CorruptedDecoder>(
-          *decoder, audit::Corruption::kShiftedJump, region);
-    } else if (corrupt == "broken-inverse") {
-      corrupted = std::make_unique<audit::CorruptedDecoder>(
-          *decoder, audit::Corruption::kBrokenInverse, region);
-    } else {
-      std::fprintf(stderr, "unknown corruption '%s'\n", corrupt.c_str());
-      return Usage();
-    }
+    corrupted = std::make_unique<audit::CorruptedDecoder>(
+        *decoder,
+        corrupt == "shifted-jump" ? audit::Corruption::kShiftedJump
+                                  : audit::Corruption::kBrokenInverse,
+        region);
     truth = corrupted.get();
   }
 
-  const std::string metrics_out = FlagString(argc, argv, "--metrics-out", "");
-  const std::string trace_out = FlagString(argc, argv, "--trace-out", "");
-  if (!trace_out.empty()) {
-    obs::Tracer::Global().Enable();
-  }
+  obs.Start();
 
   Result<audit::Report> report =
       audit::AuditProvisioningPlan(*decoder, *truth, config, remap, options);
@@ -309,7 +176,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "audit setup failed: %s\n", report.error().ToString().c_str());
     return 1;
   }
-  if (HasFlag(argc, argv, "--json")) {
+  if (json) {
     std::printf("%s\n", report->ToJson().c_str());
   } else {
     std::printf("platform: %s, decoder %s (audited against %s)\n", geometry.ToString().c_str(),
@@ -324,10 +191,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(report->scan_pool.steals), report->scan_wall_ms);
   // AuditProvisioningPlan keeps its hypervisor and pool function-local, so
   // every model counter has been flushed by now.
-  if (!metrics_out.empty() && !obs::WriteMetricsJson(metrics_out)) {
-    return 1;
-  }
-  if (!trace_out.empty() && !obs::WriteTraceJson(trace_out)) {
+  if (!obs.Write()) {
     return 1;
   }
   return report->ok() ? 0 : 2;
