@@ -50,6 +50,30 @@ class SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
+// RAII lock of two distinct mutexes. The caller names them in the order its
+// code reads best and says which one its lock hierarchy takes first (e.g.
+// the lower socket index); they are locked in that order and unlocked in
+// reverse, so two threads locking the same pair cannot deadlock.
+class SCOPED_CAPABILITY MutexLockPair {
+ public:
+  MutexLockPair(Mutex& a, Mutex& b, bool a_first) ACQUIRE(a, b)
+      : first_(a_first ? a : b), second_(a_first ? b : a) {
+    first_.lock();
+    second_.lock();
+  }
+  ~MutexLockPair() RELEASE() {
+    second_.unlock();
+    first_.unlock();
+  }
+
+  MutexLockPair(const MutexLockPair&) = delete;
+  MutexLockPair& operator=(const MutexLockPair&) = delete;
+
+ private:
+  Mutex& first_;
+  Mutex& second_;
+};
+
 // Condition variable waiting on a Mutex. Wait() atomically releases the
 // mutex while blocked and reacquires it before returning, exactly like
 // std::condition_variable — the capability is held on entry and on exit,

@@ -8,11 +8,13 @@
 #ifndef SILOZ_SRC_SILOZ_HYPERVISOR_H_
 #define SILOZ_SRC_SILOZ_HYPERVISOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,19 +26,29 @@
 #include "src/ept/phys_memory.h"
 #include "src/hostmem/cgroup.h"
 #include "src/hostmem/numa.h"
+#include "src/obs/metrics.h"
 #include "src/siloz/config.h"
 #include "src/siloz/vm.h"
 
 namespace siloz {
 
-// Thread-safety: the VM lifecycle (CreateVm/DestroyVm/ReleaseVmNodes/
-// HostShutdown), the passthrough-device plane, and the allocation-policy
-// entry points are serialized on an internal mutex, so concurrent callers
-// (the fleet-churn simulator's arrival/departure threads) are safe. Boot()
-// must still happen-before any other call, and the objects reachable by
-// reference — nodes(), cgroups(), Vm* from GetVm() — are only mutated under
-// that mutex by lifecycle operations; callers that mutate them directly
-// need external synchronization.
+// Thread-safety: the hypervisor is laid out per socket, like Siloz itself
+// (each logical node belongs to one physical socket). Each socket's mutable
+// state — its nodes' buddy allocators, its free guest nodes, its EPT pool,
+// its VMs and their backing/EPT bookkeeping, its event counts — lives in one
+// SocketDomain behind that domain's own mutex. CreateVm, DestroyVm,
+// ReleaseVmNodes, GetVm, the device plane and the allocation-policy entry
+// points lock only the socket they act on, so callers working on different
+// sockets (the fleet simulator's socket-parallel replay) run in parallel.
+// MigrateVm and HostShutdown take several socket locks, in ascending socket
+// index. Three small shared tables sit behind leaf locks, taken after socket
+// locks and never held while taking another: the VM id -> socket index, the
+// device id -> socket index, and the cgroup registry. Boot() must
+// happen-before any other call. The objects reachable by reference —
+// nodes(), cgroups(), Vm* from GetVm() — are mutated only by lifecycle
+// operations under those locks; callers that read them while other threads
+// run lifecycle operations, or mutate them directly, need external
+// synchronization (the fleet reads them behind its epoch barrier).
 class SilozHypervisor {
  public:
   // `decoder` is the platform's fixed physical-to-media mapping; `memory` is
@@ -145,8 +157,9 @@ class SilozHypervisor {
   Result<uint32_t> NodeOfGroup(uint32_t group) const;
   NodeRegistry& nodes() { return nodes_; }
   const NodeRegistry& nodes() const { return nodes_; }
-  CgroupRegistry& cgroups() { return cgroups_; }
-  const CgroupRegistry& cgroups() const { return cgroups_; }
+  // Unlocked views of the registry, for quiescent callers only (see above).
+  CgroupRegistry& cgroups() NO_THREAD_SAFETY_ANALYSIS { return cgroups_; }
+  const CgroupRegistry& cgroups() const NO_THREAD_SAFETY_ANALYSIS { return cgroups_; }
   const AddressDecoder& decoder() const { return decoder_; }
 
   // Effective subarray size after artificial-group rounding (§6).
@@ -174,48 +187,115 @@ class SilozHypervisor {
 
   // --- Conservation bookkeeping (tested by the fault-injection sweep) ---
 
-  // Live entries in the per-VM backing / EPT-page maps. A failed CreateVm
-  // must leave no phantom entry behind.
-  size_t backing_map_entries() const {
-    MutexLock lock(mu_);
-    return vm_backing_.size();
-  }
-  size_t ept_page_map_entries() const {
-    MutexLock lock(mu_);
-    return vm_ept_pages_.size();
-  }
+  // Live entries in the per-VM backing / EPT-page maps, summed over
+  // sockets. A failed CreateVm must leave no phantom entry behind.
+  size_t backing_map_entries() const;
+  size_t ept_page_map_entries() const;
   // EPT/IOMMU table pages drawn from MakeEptAllocator and not yet returned.
-  uint64_t ept_pages_held() const {
-    MutexLock lock(mu_);
-    return ept_pages_held_;
-  }
+  uint64_t ept_pages_held() const;
 
  private:
-  struct Backing;  // defined below
+  // One contiguous backing run of a VM.
+  struct Backing {
+    uint32_t node;
+    uint64_t phys;
+    uint64_t bytes;
+    uint32_t order;  // block order the run was allocated in
+  };
+
+  // Lifetime event counts, flushed to the metrics registry at destruction.
+  struct HvCounters {
+    uint64_t alloc_pages = 0;      // successful AllocatePages blocks
+    uint64_t alloc_denied = 0;     // kPermissionDenied by allocation policy
+    uint64_t vms_created = 0;
+    uint64_t vms_destroyed = 0;
+    uint64_t vms_migrated = 0;     // counted on the target socket
+    uint64_t ept_pool_pages = 0;   // pages seeded into the socket's EPT pool
+    uint64_t ept_guard_pages = 0;  // guard-row pages offlined around them
+    uint64_t ept_violations = 0;   // kIntegrityViolation detections
+  };
+
+  struct PassthroughDevice {
+    std::string name;
+    VmId vm;
+    std::unique_ptr<ExtendedPageTable> iommu;
+    std::vector<uint64_t> table_pages;
+  };
+
+  // Everything one socket owns that changes after Boot(). The buddy
+  // allocators of the socket's nodes (in nodes_) are part of it too: they
+  // are touched only through Node(domain, id), which requires domain.mu.
+  struct SocketDomain {
+    explicit SocketDomain(uint32_t socket_in) : socket(socket_in) {}
+
+    const uint32_t socket;
+    // Mutable so const paths (audits, DMA translation) can lock it to
+    // count the integrity violations they detect.
+    mutable Mutex mu;
+    // The guest nodes no VM cgroup holds, in ascending id order. A guest
+    // node is in exactly one of this set and the cgroup registry's index.
+    std::set<uint32_t> free_guest_nodes GUARDED_BY(mu);
+    // The protected EPT pool (guard-row mode).
+    std::vector<uint64_t> ept_pool GUARDED_BY(mu);
+    // Table pages handed out by MakeEptAllocator and not yet returned.
+    uint64_t ept_pages_held GUARDED_BY(mu) = 0;
+    std::map<VmId, std::unique_ptr<Vm>> vms GUARDED_BY(mu);
+    std::set<VmId> destroyed_vms GUARDED_BY(mu);
+    // Per-VM EPT pages (for release on destroy).
+    std::map<VmId, std::vector<uint64_t>> vm_ept_pages GUARDED_BY(mu);
+    std::map<VmId, std::vector<Backing>> vm_backing GUARDED_BY(mu);
+    // Devices of this socket's VMs. A device pins its VM (MigrateVm refuses
+    // it), so a device never changes socket.
+    std::map<uint32_t, PassthroughDevice> devices GUARDED_BY(mu);
+    mutable HvCounters counts GUARDED_BY(mu);
+  };
+
+  static constexpr uint32_t kNoSocket = UINT32_MAX;
+
+  SocketDomain& Domain(uint32_t socket) const { return *domains_[socket]; }
+  // The socket holding VM `id` (kNoSocket if none). The answer can go stale
+  // as soon as the index lock drops: callers lock the domain and re-check.
+  uint32_t SocketOfVm(VmId id) const;
+  // Runs fn(domain) with the lock of the domain holding VM `id`, retrying if
+  // the VM migrates between the index lookup and the lock; kNotFound if no
+  // domain holds it. `fn` runs with domain.mu held (and must say so).
+  template <typename Fn>
+  auto WithVmDomain(VmId id, Fn&& fn) const;
+  // Same for the domain holding device `device_id`.
+  template <typename Fn>
+  auto WithDeviceDomain(uint32_t device_id, Fn&& fn) const;
+
+  // The node `node_id` of `domain`'s socket, whose allocator the caller may
+  // then use (CHECKs that the node is the socket's).
+  NumaNode& Node(SocketDomain& domain, uint32_t node_id) REQUIRES(domain.mu);
 
   // Lock-requiring bodies of the public lifecycle/device entry points, for
-  // callers that already hold mu_ (HostShutdown, the device plane).
-  Result<VmId> CreateVmLocked(const VmConfig& vm_config) REQUIRES(mu_);
-  Status MigrateVmLocked(VmId id, uint32_t target_socket) REQUIRES(mu_);
-  Status AuditVmIsolationLocked(VmId id) const REQUIRES(mu_);
-  Status DestroyVmLocked(VmId id) REQUIRES(mu_);
-  Status ReleaseVmNodesLocked(VmId id) REQUIRES(mu_);
-  Result<Vm*> GetVmLocked(VmId id) REQUIRES(mu_);
-  Status RemovePassthroughDeviceLocked(uint32_t device_id) REQUIRES(mu_);
-  Status FreePagesLocked(uint32_t node_id, uint64_t phys, uint32_t order) REQUIRES(mu_);
+  // callers that already hold the socket lock(s).
+  Status MigrateVmLocked(SocketDomain& source, SocketDomain& target, VmId id)
+      REQUIRES(source.mu, target.mu);
+  Status AuditVmIsolationLocked(const SocketDomain& domain, VmId id) const REQUIRES(domain.mu);
+  Status DestroyVmLocked(SocketDomain& domain, VmId id) REQUIRES(domain.mu);
+  Status ReleaseVmNodesLocked(SocketDomain& domain, VmId id) REQUIRES(domain.mu);
+  Status RemovePassthroughDeviceLocked(SocketDomain& domain, uint32_t device_id)
+      REQUIRES(domain.mu);
+  // HostShutdown's body, run with every socket lock held. The analysis
+  // cannot name a run-time set of locks, so these three are unchecked.
+  void LockAllDomains() const NO_THREAD_SAFETY_ANALYSIS;
+  void UnlockAllDomains() const NO_THREAD_SAFETY_ANALYSIS;
+  Status HostShutdownLocked() NO_THREAD_SAFETY_ANALYSIS;
 
-  // The first free guest nodes of `socket`, in ascending id order, whose
-  // free capacity (in whole `backing_bytes` pages) covers `bytes`; kNoMemory
-  // (worded "<where> N has only ...") if all of them fall short. Costs
-  // O(nodes selected) on success.
-  Result<std::vector<uint32_t>> SelectGuestNodesLocked(uint32_t socket, uint64_t bytes,
+  // The first free guest nodes of the domain's socket, in ascending id
+  // order, whose free capacity (in whole `backing_bytes` pages) covers
+  // `bytes`; kNoMemory (worded "<where> N has only ...") if all of them fall
+  // short. Costs O(nodes selected) on success.
+  Result<std::vector<uint32_t>> SelectGuestNodesLocked(SocketDomain& domain, uint64_t bytes,
                                                        uint64_t backing_bytes,
-                                                       const char* where) REQUIRES(mu_);
-  // Move `nodes` (all on `socket`) out of / back into the free set.
-  void MarkGuestNodesOwnedLocked(uint32_t socket, const std::vector<uint32_t>& nodes)
-      REQUIRES(mu_);
-  void MarkGuestNodesFreeLocked(uint32_t socket, const std::vector<uint32_t>& nodes)
-      REQUIRES(mu_);
+                                                       const char* where) REQUIRES(domain.mu);
+  // Move `nodes` (all of the domain's socket) out of / back into the free set.
+  static void MarkGuestNodesOwnedLocked(SocketDomain& domain, const std::vector<uint32_t>& nodes)
+      REQUIRES(domain.mu);
+  static void MarkGuestNodesFreeLocked(SocketDomain& domain, const std::vector<uint32_t>& nodes)
+      REQUIRES(domain.mu);
 
   // Contiguously allocate `bytes` from `node` in blocks of `order`,
   // returning the start address (node must have a contiguous free run).
@@ -232,27 +312,33 @@ class SilozHypervisor {
   // Reserve the §5.4 EPT block in the first host group of each socket:
   // offline the b-1 guard row groups, seed the EPT pool from the EPT row
   // group.
-  Status ReserveEptBlocks() REQUIRES(mu_);
+  Status ReserveEptBlocks();
   Status OfflineArtificialBoundaryGuards();
   // §6 row-repair handling: offline every page with bytes in a quarantined
   // (inter-subarray-repaired) row.
   Status QuarantineRepairedRows();
 
-  // The returned allocator runs inside CreateVm/AssignPassthroughDevice with
-  // mu_ held (its body asserts so).
-  EptPageAllocator MakeEptAllocator(uint32_t socket, std::vector<uint64_t>* pages_out);
+  // The returned allocator runs inside CreateVm/MigrateVm/
+  // AssignPassthroughDevice with domain.mu held (its body asserts so).
+  EptPageAllocator MakeEptAllocator(SocketDomain& domain, std::vector<uint64_t>* pages_out);
 
-  // Return one table page drawn from MakeEptAllocator(socket, ...): back to
+  // Return one table page drawn from MakeEptAllocator(domain, ...): back to
   // the protected pool in guard mode, else to the socket's host node.
-  Status ReturnEptPage(uint32_t socket, uint64_t page) REQUIRES(mu_);
+  Status ReturnEptPage(SocketDomain& domain, uint64_t page) REQUIRES(domain.mu);
 
   // Free `backing` block by block, recording progress in place: each freed
   // block advances backing.phys and shrinks backing.bytes, so a failure
   // leaves `backing` describing exactly the still-allocated suffix.
-  Status FreeBackingBlocks(Backing& backing);
+  Status FreeBackingBlocks(SocketDomain& domain, Backing& backing) REQUIRES(domain.mu);
 
-  // Refresh the hv.ept.* scheduler-domain gauges after pool/held changes.
-  void UpdateEptGauges() REQUIRES(mu_);
+  // Mirror a change of a socket's EPT pool level and table pages held into
+  // the hv.ept.* scheduler-domain gauges. The gauges sum over every live
+  // hypervisor: each adds its own deltas (never another socket's state)
+  // and takes its remaining share back at destruction.
+  void AddEptGauges(int64_t pool_delta, int64_t held_delta) {
+    gauge_pool_free_.Add(pool_delta);
+    gauge_pages_in_use_.Add(held_delta);
+  }
 
   // Logical node owning a global subarray group id.
   Result<NumaNode*> NodeFor(uint32_t group);
@@ -261,73 +347,36 @@ class SilozHypervisor {
   PhysMemory& memory_;
   SilozConfig config_;
   bool booted_ = false;
+  obs::Gauge& gauge_pool_free_;
+  obs::Gauge& gauge_pages_in_use_;
 
-  // Lifetime event counts, flushed to the metrics registry at destruction.
-  // Mutable because const paths (audits, DMA translation) still detect and
-  // count integrity violations.
-  struct HvCounters {
-    uint64_t alloc_pages = 0;      // successful AllocatePages blocks
-    uint64_t alloc_denied = 0;     // kPermissionDenied by allocation policy
-    uint64_t vms_created = 0;
-    uint64_t vms_destroyed = 0;
-    uint64_t vms_migrated = 0;
-    uint64_t ept_pool_pages = 0;   // pages seeded into per-socket EPT pools
-    uint64_t ept_guard_pages = 0;  // guard-row pages offlined around them
-    uint64_t ept_violations = 0;   // kIntegrityViolation detections
-  };
-
-  // Serializes the VM lifecycle, the device plane, the allocation-policy
-  // entry points, and the bookkeeping below. Mutable so const paths (audits,
-  // DMA translation) can serialize their violation counting.
-  mutable Mutex mu_;
-
-  mutable HvCounters obs_counts_ GUARDED_BY(mu_);
-
+  // Boot-time layout (stable after Boot(); read without a lock).
   uint32_t effective_rows_per_subarray_ = 0;
   bool using_artificial_groups_ = false;
   std::unique_ptr<SubarrayGroupMap> group_map_;
   NodeRegistry nodes_;
-  CgroupRegistry cgroups_;
-
-  // Per socket: the guest nodes no VM cgroup holds, in ascending id order.
-  // A guest node is in exactly one of this set and cgroups_'s node index.
-  std::vector<std::set<uint32_t>> free_guest_nodes_ GUARDED_BY(mu_);
-  // Boot-time-only layout (stable after Boot(); read without the lock).
   std::vector<uint32_t> host_node_by_socket_;
   // global subarray group id -> node id (Siloz mode only).
   std::vector<uint32_t> node_of_group_;
-
-  // Per-socket EPT page pools (guard-row mode).
-  std::vector<std::vector<uint64_t>> ept_pool_ GUARDED_BY(mu_);
   std::vector<std::vector<PhysRange>> ept_pool_ranges_;
   uint64_t ept_reserved_bytes_ = 0;
   uint64_t artificial_guard_bytes_ = 0;
   uint64_t quarantined_bytes_ = 0;
+  // One per socket; the vector itself is boot-time layout.
+  std::vector<std::unique_ptr<SocketDomain>> domains_;
 
-  struct PassthroughDevice {
-    std::string name;
-    VmId vm;
-    std::unique_ptr<ExtendedPageTable> iommu;
-    std::vector<uint64_t> table_pages;
-  };
-  std::map<uint32_t, PassthroughDevice> devices_ GUARDED_BY(mu_);
-  uint32_t next_device_id_ GUARDED_BY(mu_) = 1;
-
-  VmId next_vm_id_ GUARDED_BY(mu_) = 1;
-  std::map<VmId, std::unique_ptr<Vm>> vms_ GUARDED_BY(mu_);
-  std::set<VmId> destroyed_vms_ GUARDED_BY(mu_);
-  // Per-VM EPT pages (for release on destroy).
-  std::map<VmId, std::vector<uint64_t>> vm_ept_pages_ GUARDED_BY(mu_);
-  // Table pages handed out by MakeEptAllocator and not yet returned.
-  uint64_t ept_pages_held_ GUARDED_BY(mu_) = 0;
-  // Per-VM backing allocations.
-  struct Backing {
-    uint32_t node;
-    uint64_t phys;
-    uint64_t bytes;
-    uint32_t order;  // block order the run was allocated in
-  };
-  std::map<VmId, std::vector<Backing>> vm_backing_ GUARDED_BY(mu_);
+  // Leaf-locked shared tables.
+  mutable Mutex index_mu_;
+  // Live (created, not yet released) VM -> its socket, rewritten by a
+  // migration under both socket locks.
+  std::unordered_map<VmId, uint32_t> vm_socket_ GUARDED_BY(index_mu_);
+  // Assigned device -> its socket (fixed for the device's life).
+  std::unordered_map<uint32_t, uint32_t> device_socket_ GUARDED_BY(index_mu_);
+  std::atomic<VmId> next_vm_id_{1};
+  std::atomic<uint32_t> next_device_id_{1};
+  // The cgroup registry; cgroups() hands out unlocked views.
+  mutable Mutex cgroups_mu_;
+  CgroupRegistry cgroups_ GUARDED_BY(cgroups_mu_);
 };
 
 }  // namespace siloz

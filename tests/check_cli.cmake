@@ -105,6 +105,7 @@ if(SILOZCTL)
   expect_rejected("${SILOZCTL}" run redis-a --seed 99999999999999999999)
   expect_rejected("${SILOZCTL}" run redis-a --threads)
   expect_rejected("${SILOZCTL}" run --platform bogus)
+  expect_rejected("${SILOZCTL}" run redis-z)
   expect_rejected("${SILOZCTL}" attack --patterns 1e3)
   expect_rejected("${SILOZCTL}" attack --seed)
   expect_rejected("${SILOZCTL}" audit --stride 0x)

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "src/addr/decoder.h"
 #include "src/audit/auditor.h"
@@ -183,6 +184,81 @@ TEST(HypervisorConcurrentChurn, ParallelLifecycleRestoresCapacity) {
   EXPECT_EQ(hypervisor.AvailableGuestNodes(0).size(), boot_nodes_s0);
   EXPECT_EQ(hypervisor.AvailableGuestNodes(1).size(), boot_nodes_s1);
   EXPECT_EQ(DiffConservation(before, CaptureConservation(hypervisor)), "");
+}
+
+// The socket domains under contention: each worker churns
+// create/destroy/release on a socket of its own while two more threads
+// migrate their VMs between sockets 0 and 1 in both directions, so socket
+// locks are taken singly and in pairs at once. Under TSan this checks the
+// lock hierarchy (pairs in ascending order, leaf locks last) and the
+// lock-free frame store; afterwards the conservation snapshot and the
+// ownership indexes must match boot exactly.
+TEST(HypervisorConcurrentChurn, SocketDomainsWithCrossSocketMigrations) {
+  DramGeometry geometry;
+  geometry.sockets = 4;
+  SkylakeDecoder decoder(geometry);
+  FlatPhysMemory memory;
+  SilozHypervisor hypervisor(decoder, memory, SilozConfig{});
+  ASSERT_TRUE(hypervisor.Boot().ok());
+  const ConservationSnapshot before = CaptureConservation(hypervisor);
+
+  constexpr uint32_t kRounds = 16;
+  std::atomic<uint32_t> creates{0};
+  std::atomic<uint32_t> migrations{0};
+  auto churn = [&](uint32_t socket) {
+    for (uint32_t round = 0; round < kRounds; ++round) {
+      VmConfig config;
+      config.name = "s" + std::to_string(socket) + "-" + std::to_string(round);
+      config.memory_bytes = 1536_MiB;
+      config.socket = socket;
+      Result<VmId> id = hypervisor.CreateVm(config);
+      if (!id.ok()) {
+        continue;
+      }
+      creates.fetch_add(1, std::memory_order_relaxed);
+      EXPECT_TRUE(hypervisor.AuditVmIsolation(*id).ok());
+      EXPECT_TRUE(hypervisor.DestroyVm(*id).ok());
+      EXPECT_TRUE(hypervisor.ReleaseVmNodes(*id).ok());
+    }
+  };
+  auto migrate = [&](uint32_t from, uint32_t to) {
+    for (uint32_t round = 0; round < kRounds; ++round) {
+      VmConfig config;
+      config.name = "m" + std::to_string(from) + "-" + std::to_string(round);
+      config.memory_bytes = 1536_MiB;
+      config.socket = from;
+      Result<VmId> id = hypervisor.CreateVm(config);
+      if (!id.ok()) {
+        continue;
+      }
+      const Status moved = hypervisor.MigrateVm(*id, to);
+      if (moved.ok()) {
+        migrations.fetch_add(1, std::memory_order_relaxed);
+        EXPECT_EQ((*hypervisor.GetVm(*id))->config().socket, to);
+      } else {
+        EXPECT_EQ(moved.error().code, ErrorCode::kNoMemory) << moved.error().ToString();
+      }
+      EXPECT_TRUE(hypervisor.AuditVmIsolation(*id).ok());
+      EXPECT_TRUE(hypervisor.DestroyVm(*id).ok());
+      EXPECT_TRUE(hypervisor.ReleaseVmNodes(*id).ok());
+    }
+  };
+  {
+    std::vector<std::thread> threads;
+    for (uint32_t socket = 0; socket < geometry.sockets; ++socket) {
+      threads.emplace_back(churn, socket);
+    }
+    threads.emplace_back(migrate, 0u, 1u);
+    threads.emplace_back(migrate, 1u, 0u);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  }
+
+  EXPECT_GT(creates.load(), 0u);
+  EXPECT_GT(migrations.load(), 0u) << "no migration went through; the pair locks were idle";
+  EXPECT_EQ(DiffConservation(before, CaptureConservation(hypervisor)), "");
+  EXPECT_EQ(DiffOwnershipIndexes(hypervisor), "");
 }
 
 // Same churn, but every CreateVm runs under a randomly armed allocation

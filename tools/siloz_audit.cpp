@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     // target). Needs a second socket to migrate to.
     if (geometry.sockets < 2) {
       std::printf("migrate sweep SKIPPED: platform has %u socket(s)\n", geometry.sockets);
-      return 0;
+      return obs.Write() ? 0 : 1;
     }
     Result<FaultSweepReport> migrate_sweep =
         RunMigrateVmFaultSweep(hypervisor, vm, /*target_socket=*/1);
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(migrate_sweep->faults_injected),
         static_cast<unsigned long long>(migrate_sweep->creates_failed),
         static_cast<unsigned long long>(migrate_sweep->creates_survived));
-    return 0;
+    return obs.Write() ? 0 : 1;
   }
 
   // Optional negative mode: the machine's "real" mapping deviates from the
