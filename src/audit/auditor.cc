@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -150,22 +151,62 @@ void Auditor::AddFinding(Report& report, Invariant invariant, uint64_t phys, uin
 
 std::vector<Report> Auditor::ScanShards(uint64_t count,
                                         const std::function<void(uint64_t, Report&)>& scan,
-                                        PoolMetrics* pool_metrics) const {
-  std::vector<Report> locals(count);
+                                        Report& report, PoolMetrics* pool_metrics) const {
   ThreadPool pool(options_.threads);
-  pool.ParallelFor(0, count, [&](uint64_t i) { scan(i, locals[i]); });
+  // Pass 1: count every shard's probes and violations, keeping nothing.
+  std::vector<Report> counted(count);
+  pool.ParallelFor(0, count, [&](uint64_t i) {
+    std::fill(std::begin(counted[i].keep_limit), std::end(counted[i].keep_limit), 0);
+    scan(i, counted[i]);
+  });
+  // Hand out the room left under the cap in shard order: a shard keeps the
+  // first `share` violations of each invariant, as the serial scan would.
+  uint64_t room[4];
+  for (size_t k = 0; k < 4; ++k) {
+    room[k] = options_.max_findings_per_invariant -
+              std::min<uint64_t>(report.stats[k].kept, options_.max_findings_per_invariant);
+  }
+  std::vector<uint64_t> keepers;  // shards contributing at least one finding
+  std::vector<Report> kept;       // their second-pass reports, in shard order
+  for (uint64_t i = 0; i < count; ++i) {
+    Report share;
+    bool contributes = false;
+    for (size_t k = 0; k < 4; ++k) {
+      share.keep_limit[k] = std::min(counted[i].stats[k].violations, room[k]);
+      room[k] -= share.keep_limit[k];
+      contributes |= share.keep_limit[k] > 0;
+    }
+    if (contributes) {
+      keepers.push_back(i);
+      kept.push_back(std::move(share));
+    }
+  }
+  // Pass 2: re-scan only the contributing shards, each up to its share.
+  pool.ParallelFor(0, keepers.size(), [&](uint64_t j) { scan(keepers[j], kept[j]); });
   if (pool_metrics != nullptr) {
     *pool_metrics = pool.metrics();
   }
-  return locals;
-}
 
-void Auditor::MergeShardReports(const std::vector<Report>& shards, Report& report) const {
-  // Shards cover consecutive slices of the serial probe order, so merging
-  // them in order reproduces the serial findings, counters and cap.
-  for (const Report& shard : shards) {
-    report.Merge(shard, options_.max_findings_per_invariant);
+  uint64_t violations = 0;
+  for (const Report& shard : counted) {
+    for (size_t k = 0; k < 4; ++k) {
+      report.stats[k].probes += shard.stats[k].probes;
+      report.stats[k].violations += shard.stats[k].violations;
+      report.stats[k].ran |= shard.stats[k].ran;
+      violations += shard.stats[k].violations;
+    }
   }
+  uint64_t findings = 0;
+  for (Report& shard : kept) {
+    for (size_t k = 0; k < 4; ++k) {
+      SILOZ_CHECK_EQ(shard.stats[k].kept, shard.keep_limit[k]) << "a re-scanned shard diverged";
+      report.stats[k].kept += shard.stats[k].kept;
+    }
+    findings += shard.findings.size();
+    std::move(shard.findings.begin(), shard.findings.end(), std::back_inserter(report.findings));
+  }
+  report.suppressed += violations - findings;
+  return counted;
 }
 
 // --- Invariant 1: phys <-> media is a bijection -----------------------------
@@ -288,7 +329,7 @@ void Auditor::CheckDecoderInvertibility(Report& report) const {
       }
     }
   };
-  MergeShardReports(ScanShards(sweep_shards + 1 + media_shards, scan), report);
+  ScanShards(sweep_shards + 1 + media_shards, scan, report);
 }
 
 // --- Invariant 2: every node's pages stay inside its groups -----------------
@@ -432,7 +473,7 @@ void Auditor::CheckDomainClosure(Report& report) const {
     const RemapSlice& slice = remaps[shard - pages.size()];
     ScanRemapBlocks(slice.rank, slice.side, slice.bank, slice.row_begin, slice.row_end, local);
   };
-  MergeShardReports(ScanShards(pages.size() + remaps.size(), scan), report);
+  ScanShards(pages.size() + remaps.size(), scan, report);
 }
 
 // --- Invariant 3: EPT rows fenced by >= blast-radius guard rows -------------
@@ -516,9 +557,9 @@ void Auditor::CheckBlastRadius(Report& report) const {
 
   // Shard the row space by presumed subarray group, in the serial scan's
   // enumeration order (socket, cluster, row block). Every shard accumulates
-  // into a private report; merging them in shard order reproduces the
-  // serial findings byte-for-byte (see Report::Merge), so the scan is free
-  // to run the shards on any number of threads.
+  // into a private report; folding them in shard order reproduces the
+  // serial findings byte-for-byte (see ScanShards), so the scan is free to
+  // run the shards on any number of threads.
   std::vector<ScanShard> shards;
   for (uint32_t socket = 0; socket < geom.sockets; ++socket) {
     for (uint32_t cluster = 0; cluster < clusters; ++cluster) {
@@ -535,7 +576,7 @@ void Auditor::CheckBlastRadius(Report& report) const {
     obs::TraceSpan scan_span("audit.BlastRadiusScan");
     locals = ScanShards(
         shards.size(),
-        [&](uint64_t i, Report& local) { ScanBlastRadiusShard(shards[i], local); },
+        [&](uint64_t i, Report& local) { ScanBlastRadiusShard(shards[i], local); }, report,
         &report.scan_pool);
   }
   report.scan_wall_ms = std::chrono::duration<double, std::milli>(
@@ -548,7 +589,6 @@ void Auditor::CheckBlastRadius(Report& report) const {
   for (const Report& local : locals) {
     per_shard.Observe(local.StatsFor(Invariant::kBlastRadius).probes);
   }
-  MergeShardReports(locals, report);
 }
 
 void Auditor::ScanBlastRadiusShard(const ScanShard& shard, Report& report) const {

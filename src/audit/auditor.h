@@ -123,13 +123,20 @@ class Auditor {
   void ScanBlastRadiusShard(const ScanShard& shard, Report& report) const;
 
   // Runs scan(i, report_i) for every shard i in [0, count) on
-  // options_.threads workers, each into a private report, and returns the
-  // reports in shard order for the caller to Merge. Shards draw no random
-  // numbers: every probe is fixed before the scan starts.
+  // options_.threads workers, each into a private report, and folds them
+  // into `report` in shard order. Shards cover consecutive slices of the
+  // serial probe order and draw no random numbers (every probe is fixed
+  // before the scan starts), so the fold reproduces the serial findings,
+  // counters and cap, and a shard scanned twice sees the same violations.
+  // That makes two passes possible: the first only counts (each shard
+  // keeps nothing), which fixes how many findings of each invariant every
+  // shard contributes under the cap; the second re-runs just the shards
+  // that contribute, each keeping exactly its share. So a finding is
+  // decoded and formatted only if the report keeps it. Returns the
+  // counting pass's shard reports (counters only), in shard order.
   std::vector<Report> ScanShards(uint64_t count,
                                  const std::function<void(uint64_t, Report&)>& scan,
-                                 PoolMetrics* pool_metrics = nullptr) const;
-  void MergeShardReports(const std::vector<Report>& shards, Report& report) const;
+                                 Report& report, PoolMetrics* pool_metrics = nullptr) const;
 
   // One probe of each sharded invariant, accumulating into `report`.
   void ProbePhysRoundTrip(uint64_t phys, Report& report) const;

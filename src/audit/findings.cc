@@ -119,23 +119,6 @@ void Report::Add(Finding finding, size_t max_findings_per_invariant) {
   findings.push_back(std::move(finding));
 }
 
-void Report::Merge(const Report& shard, size_t max_findings_per_invariant) {
-  for (size_t i = 0; i < 4; ++i) {
-    stats[i].probes += shard.stats[i].probes;
-    stats[i].violations += shard.stats[i].violations;
-    stats[i].ran |= shard.stats[i].ran;
-  }
-  suppressed += shard.suppressed;
-  for (const Finding& finding : shard.findings) {
-    if (Full(finding.invariant, max_findings_per_invariant)) {
-      ++suppressed;  // violation counters were merged wholesale above
-    } else {
-      findings.push_back(finding);
-      ++StatsFor(finding.invariant).kept;
-    }
-  }
-}
-
 std::string Report::ToText() const {
   std::ostringstream out;
   out << "isolation audit: " << (ok() ? "PASS" : "FAIL") << "\n";

@@ -10,6 +10,7 @@
 #ifndef SILOZ_SRC_AUDIT_FINDINGS_H_
 #define SILOZ_SRC_AUDIT_FINDINGS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,10 +82,17 @@ struct Report {
   PoolMetrics scan_pool;
   double scan_wall_ms = 0.0;
 
-  // True once `invariant` holds its cap of findings: a further violation
-  // only counts (Suppress), so callers can skip building the finding.
+  // Findings this report may keep per invariant, on top of the caller's
+  // cap. Unlimited by default; the auditor's sharded scans lower it per
+  // shard so a shard builds only the findings the merged report keeps.
+  uint64_t keep_limit[4] = {UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX};
+
+  // True once `invariant` holds its cap (or keep_limit) of findings: a
+  // further violation only counts (Suppress), so callers can skip building
+  // the finding.
   bool Full(Invariant invariant, size_t max_findings_per_invariant) const {
-    return StatsFor(invariant).kept >= max_findings_per_invariant;
+    const uint64_t limit = keep_limit[static_cast<size_t>(invariant)];
+    return StatsFor(invariant).kept >= std::min<uint64_t>(max_findings_per_invariant, limit);
   }
 
   // Counts a violation past the cap: bumps its violation counter and the
@@ -94,13 +102,6 @@ struct Report {
   // Appends a finding unless the invariant's cap is exhausted; always bumps
   // the violation counter.
   void Add(Finding finding, size_t max_findings_per_invariant);
-
-  // Folds in a shard report produced over a disjoint slice of a scan.
-  // Shards keep at most `max_findings_per_invariant` findings each — the
-  // earliest of their slice — so merging shards in slice order reproduces
-  // the serial findings list, violation counters, and suppression count
-  // exactly (the global first-N findings are a prefix-of-prefixes).
-  void Merge(const Report& shard, size_t max_findings_per_invariant);
 
   std::string ToText() const;
   std::string ToJson() const;

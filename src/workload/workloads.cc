@@ -1,6 +1,7 @@
 #include "src/workload/workloads.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 
@@ -261,9 +262,28 @@ const std::vector<WorkloadSpec>& ThroughputWorkloads() {
   return *workloads;
 }
 
+namespace {
+
+// Every named workload set, in lookup order.
+std::array<const std::vector<WorkloadSpec>*, 4> WorkloadSets() {
+  return {&ExecutionTimeWorkloads(), &ThroughputWorkloads(), &SpecCpuWorkloads(),
+          &ParsecWorkloads()};
+}
+
+}  // namespace
+
+std::vector<std::string> WorkloadNames() {
+  std::vector<std::string> names;
+  for (const auto* set : WorkloadSets()) {
+    for (const WorkloadSpec& spec : *set) {
+      names.push_back(spec.name);
+    }
+  }
+  return names;
+}
+
 Result<WorkloadSpec> FindWorkload(const std::string& name) {
-  for (const auto* set : {&ExecutionTimeWorkloads(), &ThroughputWorkloads(), &SpecCpuWorkloads(),
-                          &ParsecWorkloads()}) {
+  for (const auto* set : WorkloadSets()) {
     for (const WorkloadSpec& spec : *set) {
       if (spec.name == name) {
         return spec;

@@ -68,6 +68,8 @@ const std::vector<WorkloadSpec>& ThroughputWorkloads();
 const std::vector<WorkloadSpec>& SpecCpuWorkloads();
 const std::vector<WorkloadSpec>& ParsecWorkloads();
 
+// The catalogue: every workload FindWorkload resolves, by name.
+std::vector<std::string> WorkloadNames();
 Result<WorkloadSpec> FindWorkload(const std::string& name);
 
 // Packed line-stream op: bit 31 = is_write, bits [0,31) = line index within

@@ -464,5 +464,62 @@ TEST(AuditDeterminismTest, ShardedInvertibilityAndClosureMatchSerial) {
   }
 }
 
+
+// The sharded scans build only the findings the report keeps (a counting
+// pass, then a re-scan of the shards that contribute), so the cap must
+// still select the serial scan's first findings: at caps 1, the default
+// and 20000, and at 1 and 4 workers, the report bytes do not depend on the
+// worker count, the counters do not depend on the cap, and each cap's
+// findings are the larger cap's findings up to that cap per invariant.
+TEST(AuditDeterminismTest, FindingCapKeepsTheSerialFirstFindingsAtAnyWorkerCount) {
+  DramGeometry geometry;
+  SkylakeDecoder decoder(geometry);
+  const size_t kCaps[] = {1, Options{}.max_findings_per_invariant, 20000};
+  for (Corruption corruption : {Corruption::kBrokenInverse, Corruption::kShiftedJump}) {
+    CorruptedDecoder truth(decoder, corruption, decoder.region_bytes());
+    SCOPED_TRACE(CorruptionName(corruption));
+    auto run = [&](size_t cap, uint32_t threads) {
+      Options options = TestOptions();
+      options.max_findings_per_invariant = cap;
+      options.threads = threads;
+      Result<Report> report =
+          audit::AuditProvisioningPlan(decoder, truth, SilozConfig{}, RemapConfig{}, options);
+      EXPECT_TRUE(report.ok());
+      return report.ok() ? *report : Report{};
+    };
+    const Report widest = run(kCaps[2], 1);
+    ASSERT_FALSE(widest.ok());
+    if (corruption == Corruption::kBrokenInverse) {
+      // Every invertibility probe violates: the cap binds inside the fold.
+      EXPECT_GT(Violations(widest, Invariant::kDecoderInvertibility), kCaps[2]);
+    }
+    for (size_t cap : kCaps) {
+      SCOPED_TRACE("cap=" + std::to_string(cap));
+      const Report serial = run(cap, 1);
+      ExpectSameAuditReport(run(cap, 4), serial);
+      uint64_t violations = 0;
+      for (size_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(serial.stats[k].probes, widest.stats[k].probes);
+        EXPECT_EQ(serial.stats[k].violations, widest.stats[k].violations);
+        EXPECT_EQ(serial.stats[k].kept, std::min<uint64_t>(cap, widest.stats[k].violations));
+        violations += serial.stats[k].violations;
+      }
+      std::vector<std::string> expected;
+      uint64_t taken[4] = {};
+      for (const Finding& finding : widest.findings) {
+        if (taken[static_cast<size_t>(finding.invariant)]++ < cap) {
+          expected.push_back(finding.ToString());
+        }
+      }
+      std::vector<std::string> actual;
+      for (const Finding& finding : serial.findings) {
+        actual.push_back(finding.ToString());
+      }
+      EXPECT_EQ(actual, expected);
+      EXPECT_EQ(serial.suppressed, violations - serial.findings.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace siloz
